@@ -21,9 +21,10 @@ import numpy as np
 
 from . import __version__
 from .data import DataError, encode, parse_csv
-from .estimators import ESTIMATORS, score_subset
+from .estimators import ESTIMATORS, ORACLE_MAX_MEMBERS, score_subset
 from .search import SearchStats, TopKStore, branch_and_bound, greedy
 from .synth import (
+    REGRET_ESTIMATORS,
     BandSamplingError,
     RegretCurve,
     SyntheticSpec,
@@ -63,17 +64,32 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _budget(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError("budget must be >= 0 seconds")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    """Dependent-variable counts and sample sizes: both need at least 2."""
+    values = [int(tok) for tok in text.split(",") if tok]
+    if not values or min(values) < 2:
+        raise argparse.ArgumentTypeError("expected integers >= 2")
+    return values
+
+
+def _estimator_list(text: str) -> list[str]:
+    names = [tok for tok in text.split(",") if tok]
+    if not names or not set(names) <= set(REGRET_ESTIMATORS):
+        raise argparse.ArgumentTypeError(f"expected names from {REGRET_ESTIMATORS}")
+    return names
 
 
 def _band_list(text: str) -> list[tuple[float, float]]:
-    bands = []
-    for tok in text.split(","):
-        if not tok:
-            continue
-        lo, hi = tok.split(":")
-        bands.append((float(lo), float(hi)))
+    bands = [tuple(float(x) for x in tok.split(":")) for tok in text.split(",") if tok]
+    if not bands or not all(len(b) == 2 and 0.0 <= b[0] < b[1] <= 1.0 for b in bands):
+        raise argparse.ArgumentTypeError("expected lo:hi bands, 0 <= lo < hi <= 1")
     return bands
 
 
@@ -99,12 +115,10 @@ def build_parser() -> _Parser:
     p_disc.add_argument("--alpha", type=_alpha, default=1.0,
                         help="approximation factor in (0, 1] (default 1)")
     p_disc.add_argument("--algo", choices=("bnb", "greedy"), default="bnb")
-    p_disc.add_argument("--budget", type=float, default=None,
+    p_disc.add_argument("--budget", type=_budget, default=None,
                         help="seconds before bnb returns best-so-far (exit 3)")
     p_disc.add_argument("--json", default=None, help="write JSON report here")
     p_disc.add_argument("--seed", type=int, default=0)
-    p_disc.add_argument("--repeats", type=_positive_int, default=1,
-                        help="timing repetitions (results are identical)")
 
     p_score = sub.add_parser("score", help="score one named attribute set")
     add_data_flags(p_score)
@@ -122,7 +136,7 @@ def build_parser() -> _Parser:
     p_reg.add_argument("--n-grid", type=_int_list,
                        default=[10, 20, 30, 40, 50, 60, 70, 80, 90, 100])
     p_reg.add_argument("--trials", type=_positive_int, default=500)
-    p_reg.add_argument("--estimators", default="plugin,relaxed",
+    p_reg.add_argument("--estimators", type=_estimator_list, default="plugin,relaxed",
                        help="comma list from plugin,relaxed,upper,exact,population")
     p_reg.add_argument("--seed", type=int, default=0)
     p_reg.add_argument("--max-attempts", type=_positive_int, default=500_000,
@@ -212,16 +226,12 @@ def _write_json(path, report) -> None:
 
 def cmd_discover(args) -> int:
     dataset = _load_dataset(args)
-    runs = []
-    store = stats = None
-    for _ in range(args.repeats):
-        if args.algo == "bnb":
-            store, stats = branch_and_bound(
-                dataset, k=args.k, alpha=args.alpha, budget=args.budget
-            )
-        else:
-            store, stats = greedy(dataset, k=args.k)
-        runs.append(stats.wall_time)
+    if args.algo == "bnb":
+        store, stats = branch_and_bound(
+            dataset, k=args.k, alpha=args.alpha, budget=args.budget
+        )
+    else:
+        store, stats = greedy(dataset, k=args.k)
     records = _result_records(dataset, store)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -236,8 +246,7 @@ def cmd_discover(args) -> int:
         "dataset": _dataset_summary(dataset),
         "results": records,
         "stats": _stats_dict(stats),
-        "timing": {"repeats": args.repeats, "per_run_s": runs,
-                   "mean_s": sum(runs) / len(runs)},
+        "timing": {"wall_s": stats.wall_time},
     }
     print(f"dataset: {dataset.n} rows, {dataset.d} attributes")
     print(f"algo={args.algo} k={args.k} alpha={args.alpha}")
@@ -252,7 +261,7 @@ def cmd_discover(args) -> int:
         f"explored {stats.nodes_explored} | pruned {stats.nodes_pruned} | "
         f"prune% {stats.prune_percent:.2f} | max depth {stats.max_depth_reached} | "
         f"solution depth {stats.solution_depth} | "
-        f"time {sum(runs) / len(runs):.3f}s"
+        f"time {stats.wall_time:.3f}s"
     )
     if args.json:
         _write_json(args.json, report)
@@ -271,10 +280,10 @@ def cmd_score(args) -> int:
         raise DataError("need at least 2 attribute names in --set")
     if len(set(members)) != len(members):
         raise DataError("attribute names in --set must be distinct")
-    if args.estimator in ("exact", "upper") and len(members) > 8:
+    if args.estimator in ("exact", "upper") and len(members) > ORACLE_MAX_MEMBERS:
         print(
             f"corrsets score: error: --estimator {args.estimator} supports "
-            "at most 8 attributes", file=sys.stderr,
+            f"at most {ORACLE_MAX_MEMBERS} attributes", file=sys.stderr,
         )
         return EXIT_USAGE
     score = score_subset(dataset, members, estimator=args.estimator)
@@ -316,7 +325,7 @@ def _curve_dict(curve: RegretCurve) -> dict:
 
 
 def cmd_regret(args) -> int:
-    estimators = [tok for tok in args.estimators.split(",") if tok]
+    estimators = args.estimators
     cells = []
     t0 = time.perf_counter()
     for di, d in enumerate(args.dims):
@@ -411,7 +420,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"corrsets {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

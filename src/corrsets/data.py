@@ -161,10 +161,12 @@ def parse_csv(data: bytes | str, has_header: bool = True) -> RawTable:
 def discretize_equal_frequency(values, bins: int) -> np.ndarray:
     """Cut values into ``bins`` rank-contiguous groups of near-equal size.
 
-    Group sizes before tie handling differ by at most one. All occurrences
-    of a tied value take the group of its lowest stable-sort rank (the
-    lower bin), so the returned code is a function of the value; codes are
-    then compacted to remove bins emptied by that rule.
+    A column with at most ``bins`` distinct values is not cut: each value
+    keeps a code of its own, in ascending value order. Otherwise group
+    sizes before tie handling differ by at most one. All occurrences of a
+    tied value take the group of its lowest stable-sort rank (the lower
+    bin), so the returned code is a function of the value; codes are then
+    compacted to remove bins emptied by that rule.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
@@ -175,15 +177,19 @@ def discretize_equal_frequency(values, bins: int) -> np.ndarray:
         raise DataError("cannot discretize non-finite values")
     n = vals.size
     order = np.argsort(vals, kind="stable")
+    sorted_vals = vals[order]
+    is_first = np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
+    value_of_rank = np.cumsum(is_first) - 1
+    codes = np.empty(n, dtype=np.int64)
+    if value_of_rank[-1] < bins:
+        codes[order] = value_of_rank
+        return codes
     base, rem = divmod(n, bins)
     sizes = np.full(bins, base, dtype=np.int64)
     sizes[:rem] += 1
     group_of_rank = np.repeat(np.arange(bins, dtype=np.int64), sizes)
-    sorted_vals = vals[order]
-    first_rank = np.searchsorted(sorted_vals, sorted_vals, side="left")
-    codes_by_rank = group_of_rank[first_rank]
-    codes = np.empty(n, dtype=np.int64)
-    codes[order] = codes_by_rank
+    first_rank = np.flatnonzero(is_first)[value_of_rank]
+    codes[order] = group_of_rank[first_rank]
     _, compact = np.unique(codes, return_inverse=True)
     return compact.astype(np.int64, copy=False)
 

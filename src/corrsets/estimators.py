@@ -57,10 +57,12 @@ def entropy(counts, n: int) -> float:
     """Plug-in Shannon entropy in bits of a count vector summing to n.
 
     Zero counts contribute nothing. The caller guarantees sum(counts) == n.
+    A single nonzero count (a constant column) is exactly 0, not the
+    rounding residue of log2(n) - log2(n).
     """
     c = np.asarray(counts, dtype=np.float64)
     c = c[c > 0]
-    if c.size == 0:
+    if c.size <= 1:
         return 0.0
     return float(np.log2(n) - np.dot(c, np.log2(c)) / n)
 

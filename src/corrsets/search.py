@@ -22,6 +22,7 @@ import bisect
 import heapq
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .estimators import (
@@ -42,6 +43,7 @@ __all__ = [
     "bound_ref",
     "branch_and_bound",
     "greedy",
+    "walk",
     "exhaustive_topk",
 ]
 
@@ -117,12 +119,10 @@ class TopKStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def offer(self, members: tuple[int, ...], score: SubsetScore, value=None) -> None:
+    def offer(self, members: tuple[int, ...], score: SubsetScore) -> None:
         if len(members) < 2:
             return
-        if value is None:
-            value = score.corrected_score
-        entry = (-value, members, score)
+        entry = (-score.corrected_score, members, score)
         if len(self._entries) == self.k and entry >= self._entries[-1]:
             return
         bisect.insort(self._entries, entry)
@@ -288,6 +288,25 @@ def branch_and_bound(
     return store, stats.finish(ctx.d, store, started)
 
 
+def _keep_best(ctx: SearchContext, node: SearchNode, best: SearchNode | None,
+               store: TopKStore, stats: SearchStats) -> SearchNode | None:
+    """Offer every child of ``node`` to the store and return the best of
+    them and ``best`` (score descending, then smallest member tuple). Each
+    losing child's partition is dropped as soon as it loses."""
+    for rank in range(node.last_index + 1, ctx.d):
+        child = _child(ctx, node, rank, node.partition)
+        stats.nodes_explored += 1
+        stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
+        store.offer(child.members, child.score)
+        if best is None or (-child.score.corrected_score, child.members) < (
+            -best.score.corrected_score, best.members
+        ):
+            child, best = best, child  # child now names the loser
+        if child is not None:
+            child.partition = None
+    return best
+
+
 def greedy(dataset, k: int = 1) -> tuple[TopKStore, SearchStats]:
     """Level-wise greedy search: score all pairs, then repeatedly refine
     only the best node, stopping when it has no refinements or its
@@ -299,78 +318,41 @@ def greedy(dataset, k: int = 1) -> tuple[TopKStore, SearchStats]:
     ctx = SearchContext(dataset)
     store = TopKStore(k)
     stats = SearchStats()
-
-    def better(a: SearchNode, b: SearchNode | None) -> bool:
-        if b is None:
-            return True
-        return (-a.score.corrected_score, a.members) < (
-            -b.score.corrected_score, b.members
-        )
-
-    best_pair: SearchNode | None = None
+    root = _root(ctx)
+    current = None
     for i in range(ctx.d - 1):
-        part_i = ctx.partition_of((i,))
-        node_i = SearchNode(
-            members=(i,),
-            score=SubsetScore(
-                ctx.original_members((i,)),
-                ctx.entropies[i], ctx.entropies[i], ctx.entropies[i],
-                0.0, 0.0, 0.0, 0.0, 0.0,
-            ),
-            partition=part_i,
-        )
-        for j in range(i + 1, ctx.d):
-            pair = _child(ctx, node_i, j, part_i)
-            stats.nodes_explored += 1
-            stats.max_depth_reached = max(stats.max_depth_reached, 2)
-            store.offer(pair.members, pair.score)
-            if better(pair, best_pair):
-                if best_pair is not None:
-                    best_pair.partition = None
-                best_pair = pair
-            else:
-                pair.partition = None
-    current = best_pair
+        current = _keep_best(ctx, _child(ctx, root, i, root.partition),
+                             current, store, stats)
     while current is not None and current.last_index < ctx.d - 1:
         if not bound_ref(current, ctx) > store.threshold():
             break  # no refinement of the chain can improve the result set
-        children = expand(current, ctx)
-        best_child: SearchNode | None = None
-        for child in children:
-            stats.nodes_explored += 1
-            stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
-            store.offer(child.members, child.score)
-            if better(child, best_child):
-                if best_child is not None:
-                    best_child.partition = None
-                best_child = child
-            else:
-                child.partition = None
-        current = best_child
+        current = _keep_best(ctx, current, None, store, stats)
     return store, stats.finish(ctx.d, store, started)
 
 
-def exhaustive_topk(dataset, k: int = 1, estimator: str = "relaxed") -> TopKStore:
-    """Score every subset of two or more attributes by depth-first
-    enumeration with incremental partitions. Oracle for the search
-    algorithms and workhorse for the synthetic experiments (keep d small)."""
+def walk(dataset) -> Iterator[SearchNode]:
+    """Every subset of two or more attributes, depth-first in the
+    alphabetical order over entropy ranks, each scored incrementally from
+    its parent's partition. A subtree's partitions are dropped once it is
+    done, so only those on the current root-to-node path stay alive."""
     ctx = SearchContext(dataset)
-    if estimator not in ("plugin", "relaxed"):
-        raise ValueError("exhaustive enumeration supports plugin or relaxed")
-    store = TopKStore(k)
 
-    def visit(node: SearchNode) -> None:
-        part = node.partition
+    def subtree(node: SearchNode) -> Iterator[SearchNode]:
         for rank in range(node.last_index + 1, ctx.d):
-            child = _child(ctx, node, rank, part)
-            value = (
-                child.score.plugin_score
-                if estimator == "plugin"
-                else child.score.corrected_score
-            )
-            store.offer(child.members, child.score, value=value)
-            visit(child)
+            child = _child(ctx, node, rank, node.partition)
+            if child.depth >= 2:
+                yield child
+            yield from subtree(child)
             child.partition = None
 
-    visit(_root(ctx))
+    return subtree(_root(ctx))
+
+
+def exhaustive_topk(dataset, k: int = 1) -> TopKStore:
+    """Top-k relaxed corrected scores over every subset of two or more
+    attributes, from one :func:`walk`. Reference answer for the search
+    algorithms; it refines 2^d - 1 times, so keep d small."""
+    store = TopKStore(k)
+    for node in walk(dataset):
+        store.offer(node.members, node.score)
     return store

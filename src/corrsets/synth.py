@@ -20,12 +20,14 @@ import numpy as np
 
 from .data import EncodedDataset
 from .estimators import (
+    ORACLE_MAX_MEMBERS,
     RowPartition,
     correction_relaxed_bits,
     entropy,
     refine_partition,
     score_subset,
 )
+from .search import walk
 
 __all__ = [
     "BandSamplingError",
@@ -220,40 +222,23 @@ class RegretCurve:
 
 def _empirical_argmax(dataset: EncodedDataset, spec: SyntheticSpec,
                       estimators) -> dict[str, tuple[int, ...]]:
-    """Best subset (size >= 2) per estimator; ties go to the
-    lexicographically smallest member tuple."""
-    winners: dict[str, tuple[int, ...]] = {}
-    best: dict[str, float] = {}
-    shared = [e for e in estimators if e in ("plugin", "relaxed")]
-    oracle = [e for e in estimators if e in ("upper", "exact")]
-    d = dataset.d
-    if shared or oracle:
-        for size in range(2, d + 1):
-            for subset in itertools.combinations(range(d), size):
-                if shared:
-                    score = score_subset(dataset, subset, estimator="relaxed")
-                    for est in shared:
-                        value = (
-                            score.plugin_score if est == "plugin"
-                            else score.corrected_score
-                        )
-                        if est not in best or value > best[est]:
-                            best[est] = value
-                            winners[est] = subset
-                for est in oracle:
-                    value = score_subset(dataset, subset, estimator=est).corrected_score
-                    if est not in best or value > best[est]:
-                        best[est] = value
-                        winners[est] = subset
-    if "population" in estimators:
-        # same traversal order as the empirical loop, so ties break alike
-        for size in range(2, d + 1):
-            for subset in itertools.combinations(range(d), size):
+    """Best subset (size >= 2, sorted indices) per estimator. Ties go to
+    the smallest subset, then to the lexicographically smallest one."""
+    best: dict[str, tuple] = {}
+    for node in walk(dataset):
+        subset = tuple(sorted(node.score.members))
+        for est in estimators:
+            if est == "plugin":
+                value = node.score.plugin_score
+            elif est == "relaxed":
+                value = node.score.corrected_score
+            elif est == "population":
                 value = spec.population[subset]
-                if "population" not in best or value > best["population"]:
-                    best["population"] = value
-                    winners["population"] = subset
-    return winners
+            else:  # reference corrections, scored from scratch
+                value = score_subset(dataset, subset, estimator=est).corrected_score
+            key = (-value, len(subset), subset)
+            best[est] = min(best.get(est, key), key)
+    return {est: key[2] for est, key in best.items()}
 
 
 def run_regret(
@@ -275,8 +260,12 @@ def run_regret(
             raise ValueError(f"unknown estimator {est!r}")
     if spec.num_vars > 12:
         raise ValueError("exhaustive regret requires at most 12 variables")
-    if spec.num_vars > 8 and any(e in ("upper", "exact") for e in estimators):
-        raise ValueError("oracle estimators are limited to 8 variables")
+    if spec.num_vars > ORACLE_MAX_MEMBERS and any(
+        e in ("upper", "exact") for e in estimators
+    ):
+        raise ValueError(
+            f"oracle estimators are limited to {ORACLE_MAX_MEMBERS} variables"
+        )
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n_grid = [int(n) for n in n_grid]

@@ -94,3 +94,32 @@ def chain_mi_sum(dataset: EncodedDataset, members) -> float:
         total += oracle_mi(prefix, col)
         prefix = [p + (v,) for p, v in zip(prefix, col)]
     return total
+
+
+def brute_force_scores(dataset: EncodedDataset) -> dict[tuple[int, ...], float]:
+    """Relaxed corrected score of every subset of two or more attributes,
+    keyed by sorted column indices, recomputed from row tuples and the
+    brute-force ordering maximum. A zero normalizer scores 0."""
+    n = dataset.n
+    cols = [a.codes.tolist() for a in dataset.attributes]
+    entropies = [oracle_entropy(col) for col in cols]
+    domains = [len(set(col)) for col in cols]
+    scores = {}
+    for size in range(2, dataset.d + 1):
+        for members in itertools.combinations(range(dataset.d), size):
+            h = [entropies[i] for i in members]
+            normalizer = sum(h) - max(h)
+            if normalizer <= 0.0:
+                scores[members] = 0.0
+                continue
+            tc = sum(h) - subset_joint_entropy(dataset, members)
+            plugin = min(max(tc / normalizer, 0.0), 1.0)
+            bits = oracle_relaxed_correction_max([domains[i] for i in members], n)
+            scores[members] = plugin - bits / normalizer
+    return scores
+
+
+def brute_force_topk(scores: dict[tuple[int, ...], float], k: int):
+    """The k best (members, score) pairs of a :func:`brute_force_scores`
+    result: score descending, then lexicographically smallest members."""
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]

@@ -90,15 +90,6 @@ class TestDiscover:
         assert rc == 2
         assert "at least 2 attributes" in capsys.readouterr().err
 
-    def test_repeats_timing_runs(self, small_csv, tmp_path):
-        out = tmp_path / "rep.json"
-        rc = main(["discover", "--input", str(small_csv), "--repeats", "3",
-                   "--json", str(out)])
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert report["timing"]["repeats"] == 3
-        assert len(report["timing"]["per_run_s"]) == 3
-
     def test_numeric_csv_discretized(self, tmp_path):
         path = tmp_path / "num.csv"
         rows = ["x,y"] + [f"{i},{i % 4}" for i in range(40)]
@@ -119,6 +110,34 @@ class TestDiscover:
         assert main(argv + [str(out1)]) == 0
         assert main(argv + [str(out2)]) == 0
         assert strip_timing(out1) == strip_timing(out2)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["regret", "--dims", "1"], 1),
+    (["regret", "--dims", ""], 1),
+    (["regret", "--bands", "0.5:0.1"], 1),
+    (["regret", "--bands=-0.1:0.5"], 1),
+    (["regret", "--bands", "0.2:1.5"], 1),
+    (["regret", "--bands", "0.3:0.3"], 1),
+    (["regret", "--bands", "0.5"], 1),
+    (["regret", "--bands", "nan:0.5"], 1),
+    (["regret", "--n-grid", "10,1"], 1),
+    (["regret", "--estimators", "plugin,bogus"], 1),
+    (["discover", "--input", "{tmp}/x.csv", "--budget", "-1"], 1),
+    (["discover", "--input", "{tmp}"], 2),
+    (["score", "--input", "{tmp}", "--set", "a,b"], 2),
+])
+def test_error_contract(argv, code, tmp_path, capsys):
+    """Bad values exit 1 at parse time and unreadable input exits 2, each
+    with a one-line error and no escaping exception."""
+    argv = [tok.replace("{tmp}", str(tmp_path)) for tok in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    err = capsys.readouterr().err.splitlines()
+    assert "error:" in err[-1]
 
 
 class TestScore:

@@ -145,6 +145,13 @@ class TestEncode:
         with pytest.raises(DataError, match="non-finite"):
             encode(table, numeric_cols=["a"])
 
+    def test_few_valued_numeric_column_not_merged(self):
+        # as many distinct values as bins or fewer: one code per value
+        ds = encode(parse_csv("c\n" + "1\n" * 90 + "2\n" * 5 + "3\n" * 5))
+        attr = ds.attributes[0]
+        assert attr.domain_size == 3
+        assert attr.codes.tolist() == [0] * 90 + [1] * 5 + [2] * 5
+
     def test_too_few_rows(self):
         table = RawTable(("a",), (("1",),), 1)
         with pytest.raises(DataError, match="n - 1"):

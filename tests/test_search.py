@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrsets.data import EncodedDataset
 from corrsets.estimators import SubsetScore, score_subset
@@ -17,8 +19,9 @@ from corrsets.search import (
     expand,
     greedy,
     order_attributes,
+    walk,
 )
-from helpers import random_dataset
+from helpers import brute_force_scores, brute_force_topk, random_dataset
 
 
 def dataset_with_entropies(levels):
@@ -300,3 +303,74 @@ class TestGreedy:
         g2, st2 = greedy(ds, k=3)
         assert [(m, v) for m, v, _ in g1.results] == [(m, v) for m, v, _ in g2.results]
         assert st1.nodes_explored == st2.nodes_explored
+
+
+class TestWalk:
+    def test_every_subset_once_scored_as_from_scratch(self):
+        ds = random_dataset(np.random.default_rng(30), d=6, n=50)
+        seen = []
+        for node in walk(ds):
+            assert node.score == score_subset(ds, node.score.members)
+            seen.append(tuple(sorted(node.score.members)))
+        assert sorted(seen) == sorted(
+            s for r in range(2, 7) for s in itertools.combinations(range(6), r)
+        )
+
+    def test_needs_two_attributes(self):
+        single = EncodedDataset.from_codes(["x"], [np.array([0, 1])], 2)
+        with pytest.raises(ValueError):
+            walk(single)
+
+
+@st.composite
+def small_tables(draw):
+    """Random tables of 2-5 columns, some constant, some duplicating (or
+    relabelling) an earlier column."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 24))
+    cols = []
+    for j in range(d):
+        kind = draw(st.sampled_from(["random", "constant", "copy"] if j else
+                                    ["random", "constant"]))
+        if kind == "constant":
+            cols.append([0] * n)
+        elif kind == "copy":
+            src = cols[draw(st.integers(0, j - 1))]
+            cols.append([-v for v in src] if draw(st.booleans()) else list(src))
+        else:
+            domain = draw(st.integers(1, 4))
+            cols.append(draw(st.lists(st.integers(0, domain - 1),
+                                      min_size=n, max_size=n)))
+    return EncodedDataset.from_codes([f"A{j}" for j in range(d)], cols, n)
+
+
+def assert_matches_brute_force(store, scores, k):
+    """Values agree within 1e-9 rank by rank; each member set is the
+    oracle's, or one the oracle scores within 1e-9 of it."""
+    ranked = brute_force_topk(scores, k)
+    got = [(tuple(sorted(s.members)), v) for _, v, s in store.results]
+    assert len(got) == len(ranked)
+    assert len({m for m, _ in got}) == len(got)
+    for (members, value), (_, expected) in zip(got, ranked):
+        assert value == pytest.approx(expected, abs=1e-9)
+        near = {m for m, v in scores.items() if abs(v - expected) <= 1e-9}
+        assert members in near
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("n", [10, 11, 13])
+    def test_constant_column_pairs_score_zero(self, n):
+        # log2(n) - n log2(n) / n rounds to +-4e-16 at these n; a constant
+        # column must still have entropy 0, so its pairs score exactly 0
+        rng = np.random.default_rng(n)
+        cols = [rng.integers(0, 3, n), np.zeros(n, dtype=int), rng.integers(0, 3, n)]
+        ds = EncodedDataset.from_codes(["a", "b", "c"], cols, n)
+        assert ds.attributes[1].entropy == 0.0
+        assert_matches_brute_force(exhaustive_topk(ds, k=3), brute_force_scores(ds), 3)
+
+    @given(ds=small_tables(), k=st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_exhaustive_and_bnb_match_oracle(self, ds, k):
+        scores = brute_force_scores(ds)
+        assert_matches_brute_force(exhaustive_topk(ds, k=k), scores, k)
+        assert_matches_brute_force(branch_and_bound(ds, k=k)[0], scores, k)

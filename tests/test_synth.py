@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrsets.synth import (
+    REGRET_ESTIMATORS,
     BandSamplingError,
     ChanceRecord,
     JointTable,
@@ -12,6 +13,7 @@ from corrsets.synth import (
     population_w,
     run_regret,
     sample_joint_in_band,
+    _empirical_argmax,
     write_curves_tsv,
 )
 from helpers import oracle_entropy
@@ -189,6 +191,21 @@ class TestRunRegret:
         fields = lines[1].split("\t")
         assert fields[0] == "plugin" and fields[1] == "20"
         float(fields[2]), float(fields[3])
+
+
+class TestEmpiricalArgmax:
+    def test_exact_ties_go_to_smallest_then_lex_subset(self):
+        # variables 0-2 are copies of one uniform ternary variable, so their
+        # pairs tie exactly under every estimator (and the triple too for
+        # plugin and population)
+        probs = np.zeros(27)
+        probs[[0, 13, 26]] = 1 / 3
+        spec = SyntheticSpec.build(JointTable(dims=(3, 3, 3), probs=probs))
+        ds = spec.sample_dataset(30, np.random.default_rng(0))
+        codes = [a.codes for a in ds.attributes]
+        assert np.array_equal(codes[0], codes[1]) and np.array_equal(codes[0], codes[2])
+        winners = _empirical_argmax(ds, spec, REGRET_ESTIMATORS)
+        assert winners == {est: (0, 1) for est in REGRET_ESTIMATORS}
 
 
 class TestChanceDemo:
