@@ -17,7 +17,7 @@ def main() -> None:
     parser.add_argument("--k", type=int, default=9)
     args = parser.parse_args()
 
-    dataset = encode(tic_tac_toe_table(), discretize_numeric=False)
+    dataset = encode(tic_tac_toe_table(), numeric_cols="none")
     store, stats = branch_and_bound(dataset, k=args.k, alpha=1.0)
     print(f"branch-and-bound: explored {stats.nodes_explored} nodes, "
           f"pruned {stats.prune_percent:.2f}% of the lattice, "

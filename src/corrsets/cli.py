@@ -24,17 +24,19 @@ from .data import DataError, encode, parse_csv
 from .estimators import ESTIMATORS, ORACLE_MAX_MEMBERS, score_subset
 from .search import SearchStats, TopKStore, branch_and_bound, greedy
 from .synth import (
+    N_INDEPENDENT,
     REGRET_ESTIMATORS,
     BandSamplingError,
     RegretCurve,
     SyntheticSpec,
     chance_demo,
+    check_regret_size,
     run_regret,
     sample_joint_in_band,
     write_curves_tsv,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,11 +59,15 @@ def _alpha(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_from(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _budget(text: str) -> float:
@@ -102,7 +108,7 @@ def build_parser() -> _Parser:
         p.add_argument("--input", required=True, help="CSV file path")
         p.add_argument("--no-header", action="store_true",
                        help="synthesize column names X1..Xd")
-        p.add_argument("--bins", type=_positive_int, default=5,
+        p.add_argument("--bins", type=_int_from(1), default=5,
                        help="equal-frequency bins for numeric columns (default 5)")
         p.add_argument("--numeric-cols", default="auto",
                        help="comma list of numeric columns, 'auto', or 'none'")
@@ -111,14 +117,13 @@ def build_parser() -> _Parser:
 
     p_disc = sub.add_parser("discover", help="find the top-k correlated subsets")
     add_data_flags(p_disc)
-    p_disc.add_argument("--k", type=_positive_int, default=1)
+    p_disc.add_argument("--k", type=_int_from(1), default=1)
     p_disc.add_argument("--alpha", type=_alpha, default=1.0,
                         help="approximation factor in (0, 1] (default 1)")
     p_disc.add_argument("--algo", choices=("bnb", "greedy"), default="bnb")
     p_disc.add_argument("--budget", type=_budget, default=None,
                         help="seconds before bnb returns best-so-far (exit 3)")
     p_disc.add_argument("--json", default=None, help="write JSON report here")
-    p_disc.add_argument("--seed", type=int, default=0)
 
     p_score = sub.add_parser("score", help="score one named attribute set")
     add_data_flags(p_score)
@@ -135,19 +140,19 @@ def build_parser() -> _Parser:
                        help="w bands as lo:hi pairs (default 4 bands in [0.1,0.5))")
     p_reg.add_argument("--n-grid", type=_int_list,
                        default=[10, 20, 30, 40, 50, 60, 70, 80, 90, 100])
-    p_reg.add_argument("--trials", type=_positive_int, default=500)
+    p_reg.add_argument("--trials", type=_int_from(1), default=500)
     p_reg.add_argument("--estimators", type=_estimator_list, default="plugin,relaxed",
                        help="comma list from plugin,relaxed,upper,exact,population")
     p_reg.add_argument("--seed", type=int, default=0)
-    p_reg.add_argument("--max-attempts", type=_positive_int, default=500_000,
+    p_reg.add_argument("--max-attempts", type=_int_from(1), default=500_000,
                        help="rejection-sampling draws per band before skipping")
     p_reg.add_argument("--out-dir", default=".", help="directory for TSV curves")
     p_reg.add_argument("--json", default=None, help="write summary JSON here")
 
     p_ch = sub.add_parser("chance", help="correlation-by-chance demonstration")
-    p_ch.add_argument("--d", type=_positive_int, default=10)
-    p_ch.add_argument("--domain", type=_positive_int, default=4)
-    p_ch.add_argument("--n", type=_positive_int, default=1000)
+    p_ch.add_argument("--d", type=_int_from(2), default=10)
+    p_ch.add_argument("--domain", type=_int_from(1), default=4)
+    p_ch.add_argument("--n", type=_int_from(2), default=1000)
     p_ch.add_argument("--seed", type=int, default=0)
     p_ch.add_argument("--json", default=None)
     return parser
@@ -162,15 +167,10 @@ def _load_dataset(args):
             f"note: dropped {table.rejected_rows} rows with empty fields",
             file=sys.stderr,
         )
-    if args.numeric_cols == "none":
-        dataset = encode(table, discretize_numeric=False, bins=args.bins)
-    elif args.numeric_cols == "auto":
-        dataset = encode(table, discretize_numeric=True, bins=args.bins)
-    else:
-        cols = [c for c in args.numeric_cols.split(",") if c]
-        dataset = encode(
-            table, discretize_numeric=True, bins=args.bins, numeric_cols=cols
-        )
+    cols = args.numeric_cols
+    if cols not in ("auto", "none"):
+        cols = [c for c in cols.split(",") if c]
+    dataset = encode(table, bins=args.bins, numeric_cols=cols)
     if args.drop_constant:
         dataset = dataset.drop_constant()
     if dataset.d < 2:
@@ -238,7 +238,7 @@ def cmd_discover(args) -> int:
         "command": "discover",
         "config": {
             "input": args.input, "k": args.k, "alpha": args.alpha,
-            "algo": args.algo, "bins": args.bins, "seed": args.seed,
+            "algo": args.algo, "bins": args.bins,
             "numeric_cols": args.numeric_cols,
             "drop_constant": args.drop_constant,
             "budget": args.budget,
@@ -326,6 +326,12 @@ def _curve_dict(curve: RegretCurve) -> dict:
 
 def cmd_regret(args) -> int:
     estimators = args.estimators
+    try:  # before sampling, which at large --dims costs memory first
+        check_regret_size(max(args.dims) + N_INDEPENDENT, estimators)
+    except ValueError as exc:
+        print(f"corrsets regret: error: --dims {max(args.dims)} plus "
+              f"{N_INDEPENDENT} independent variables: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     cells = []
     t0 = time.perf_counter()
     for di, d in enumerate(args.dims):

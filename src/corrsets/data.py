@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,48 +110,47 @@ def _make_attribute(name: str, codes: np.ndarray, n: int) -> Attribute:
 def parse_csv(data: bytes | str, has_header: bool = True) -> RawTable:
     """Parse comma-separated UTF-8 text into a RawTable.
 
-    Without a header, column names X1..Xd are synthesized. Rows whose field
-    count differs from the first row raise a ParseError naming the line;
-    rows containing empty fields are dropped and counted.
+    Lines may end in LF, CRLF or a bare CR. Without a header, column names
+    X1..Xd are synthesized. Malformed CSV, including a row whose field count
+    differs from the first row's, raises a ParseError naming the line. Rows
+    containing empty fields are dropped and counted.
     """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8: {exc}") from exc
-    else:
-        text = data
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(
+        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        if isinstance(data, bytes) else io.StringIO(data, newline="")
+    )
     rows = []
     names = None
-    width = None
     rejected = 0
-    for row in reader:
-        if not row:
-            continue  # blank line
-        if width is None:
-            width = len(row)
-            if has_header:
-                names = tuple(row)
+    try:
+        for row in reader:
+            if not row:
+                continue  # blank line
+            if names is None:
+                if has_header:
+                    names = tuple(row)
+                    continue
+                names = tuple(f"X{i + 1}" for i in range(len(row)))
+            if len(row) != len(names):
+                raise ParseError(
+                    f"ragged row at line {reader.line_num}: "
+                    f"expected {len(names)} fields, got {len(row)}"
+                )
+            if "" in row:
+                rejected += 1
                 continue
-            names = tuple(f"X{i + 1}" for i in range(width))
-        if len(row) != width:
-            raise ParseError(
-                f"ragged row at line {reader.line_num}: "
-                f"expected {width} fields, got {len(row)}"
-            )
-        if any(field == "" for field in row):
-            rejected += 1
-            continue
-        rows.append(row)
-    if width is None or names is None:
+            rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
+    if names is None:
         raise ParseError("empty input")
     if len(set(names)) != len(names):
         raise ParseError("duplicate column names")
-    columns = tuple(tuple(row[j] for row in rows) for j in range(width))
     return RawTable(
         column_names=names,
-        columns=columns,
+        columns=tuple(zip(*rows)) or ((),) * len(names),
         row_count=len(rows),
         rejected_rows=rejected,
     )
@@ -194,61 +192,54 @@ def discretize_equal_frequency(values, bins: int) -> np.ndarray:
     return compact.astype(np.int64, copy=False)
 
 
-def _parse_numeric(tokens, name: str) -> np.ndarray:
-    out = np.empty(len(tokens), dtype=np.float64)
-    for i, tok in enumerate(tokens):
-        try:
-            out[i] = float(tok)
-        except ValueError as exc:
-            raise DataError(f"column {name!r}: non-numeric value {tok!r}") from exc
-    if not np.all(np.isfinite(out)):
-        raise DataError(f"column {name!r}: non-finite numeric value")
-    return out
-
-
-def _is_numeric(tokens) -> bool:
+def _floats(column, name: str) -> np.ndarray:
+    """Parse every token of a column as a finite float, each token once."""
     try:
-        for tok in tokens:
-            if not math.isfinite(float(tok)):
-                return False  # "inf"/"nan" tokens stay categorical
+        values = np.fromiter(map(float, column), dtype=np.float64, count=len(column))
     except ValueError:
-        return False
-    return True
+        for tok in column:
+            try:
+                float(tok)
+            except ValueError:
+                raise DataError(f"column {name!r}: non-numeric value {tok!r}") from None
+        raise
+    if not np.isfinite(values).all():
+        raise DataError(f"column {name!r}: non-finite numeric value")
+    return values
 
 
-def encode(
-    table: RawTable,
-    discretize_numeric: bool = True,
-    bins: int = 5,
-    numeric_cols="auto",
-) -> EncodedDataset:
+def encode(table: RawTable, bins: int = 5, numeric_cols="auto") -> EncodedDataset:
     """Encode a RawTable into dense integer attributes.
 
-    Text columns map to codes in first-occurrence order. When
-    ``discretize_numeric`` is set, columns named in ``numeric_cols`` (or
-    detected when it is "auto") are parsed as floats and equal-frequency
-    binned; otherwise numerals are just distinct tokens.
+    Columns chosen by ``numeric_cols`` are parsed as floats and
+    equal-frequency binned: "auto" bins every column of finite numbers,
+    "none" bins nothing, and a list of names bins those columns, each of
+    which must hold finite numbers only. Other columns, numerals included,
+    map to codes in first-occurrence order of their tokens.
     """
     if table.row_count < 2:
         raise DataError("need at least 2 rows: correction terms divide by n - 1")
-    if discretize_numeric and numeric_cols not in ("auto", None):
-        unknown = set(numeric_cols) - set(table.column_names)
-        if unknown:
-            raise DataError(f"unknown numeric columns: {sorted(unknown)}")
+    auto = numeric_cols == "auto"
+    numeric = set() if auto or numeric_cols == "none" else set(numeric_cols)
+    unknown = numeric - set(table.column_names)
+    if unknown:
+        raise DataError(f"unknown numeric columns: {sorted(unknown)}")
     attrs = []
     for name, column in zip(table.column_names, table.columns):
-        numeric = discretize_numeric and (
-            _is_numeric(column) if numeric_cols in ("auto", None)
-            else name in numeric_cols
-        )
-        if numeric:
-            codes = discretize_equal_frequency(_parse_numeric(column, name), bins)
-        else:
+        codes = None
+        if auto or name in numeric:
+            try:
+                values = _floats(column, name)
+            except DataError:
+                if not auto:
+                    raise  # a named column must parse; under auto it stays categorical
+            else:
+                codes = discretize_equal_frequency(values, bins)
+        if codes is None:
             mapping: dict[str, int] = {}
             codes = np.fromiter(
                 (mapping.setdefault(tok, len(mapping)) for tok in column),
-                count=len(column),
-                dtype=np.int64,
+                count=len(column), dtype=np.int64,
             )
         attrs.append(_make_attribute(name, codes, table.row_count))
     return EncodedDataset(attributes=tuple(attrs), n=table.row_count)

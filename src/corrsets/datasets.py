@@ -59,15 +59,13 @@ def _terminal_boards() -> tuple[tuple[str, ...], ...]:
 
 def tic_tac_toe_table() -> RawTable:
     """The 958-row, 10-column tic-tac-toe endgame table."""
-    boards = _terminal_boards()
     rows = [
         board + ("positive" if _winner(board) == "x" else "negative",)
-        for board in boards
+        for board in _terminal_boards()
     ]
-    columns = tuple(tuple(row[j] for row in rows) for j in range(10))
     return RawTable(
         column_names=TIC_TAC_TOE_COLUMNS,
-        columns=columns,
+        columns=tuple(zip(*rows)),
         row_count=len(rows),
     )
 
@@ -75,6 +73,5 @@ def tic_tac_toe_table() -> RawTable:
 def write_tic_tac_toe_csv(path) -> None:
     table = tic_tac_toe_table()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(table.column_names) + "\n")
-        for r in range(table.row_count):
-            fh.write(",".join(col[r] for col in table.columns) + "\n")
+        for row in (table.column_names, *zip(*table.columns)):
+            fh.write(",".join(row) + "\n")

@@ -37,12 +37,15 @@ __all__ = [
     "ChanceRecord",
     "population_w",
     "sample_joint_in_band",
+    "check_regret_size",
     "run_regret",
     "chance_demo",
     "write_curves_tsv",
 ]
 
 REGRET_ESTIMATORS = ("plugin", "relaxed", "upper", "exact", "population")
+N_INDEPENDENT = 3  # independent variables appended to each dependent table
+REGRET_MAX_VARS = 12  # the exhaustive regret argmax walks 2^vars subsets
 
 _REJECTION_BATCH = 512
 
@@ -174,7 +177,7 @@ class SyntheticSpec:
     population: dict[tuple[int, ...], float]
 
     @classmethod
-    def build(cls, dependent: JointTable, n_independent: int = 3,
+    def build(cls, dependent: JointTable, n_independent: int = N_INDEPENDENT,
               independent_domain: int = 3) -> "SyntheticSpec":
         extra = independent_domain**n_independent
         probs = np.kron(dependent.probs, np.full(extra, 1.0 / extra))
@@ -241,6 +244,15 @@ def _empirical_argmax(dataset: EncodedDataset, spec: SyntheticSpec,
     return {est: key[2] for est, key in best.items()}
 
 
+def check_regret_size(num_vars: int, estimators) -> None:
+    """Refuse a regret run over more variables than it can score; the
+    oracle corrections enumerate orderings, so they allow fewer."""
+    limit = ORACLE_MAX_MEMBERS if {"upper", "exact"} & set(estimators) else REGRET_MAX_VARS
+    if num_vars > limit:
+        raise ValueError(f"estimators {', '.join(estimators)} score at most "
+                         f"{limit} variables, not {num_vars}")
+
+
 def run_regret(
     spec: SyntheticSpec,
     estimators,
@@ -258,14 +270,7 @@ def run_regret(
     for est in estimators:
         if est not in REGRET_ESTIMATORS:
             raise ValueError(f"unknown estimator {est!r}")
-    if spec.num_vars > 12:
-        raise ValueError("exhaustive regret requires at most 12 variables")
-    if spec.num_vars > ORACLE_MAX_MEMBERS and any(
-        e in ("upper", "exact") for e in estimators
-    ):
-        raise ValueError(
-            f"oracle estimators are limited to {ORACLE_MAX_MEMBERS} variables"
-        )
+    check_regret_size(spec.num_vars, estimators)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n_grid = [int(n) for n in n_grid]

@@ -11,7 +11,7 @@ def ttt_table():
 
 @pytest.fixture(scope="session")
 def ttt(ttt_table):
-    return encode(ttt_table, discretize_numeric=False)
+    return encode(ttt_table, numeric_cols="none")
 
 
 @pytest.fixture(scope="session")

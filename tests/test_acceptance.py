@@ -296,8 +296,7 @@ def test_cli_determinism(ttt_csv, tmp_path):
 
     results = {
         "discover": run_twice("discover", lambda out: [
-            "discover", "--input", str(ttt_csv), "--k", "5", "--seed", "3",
-            "--json", str(out),
+            "discover", "--input", str(ttt_csv), "--k", "5", "--json", str(out),
         ]),
         "score": run_twice("score", lambda out: [
             "score", "--input", str(ttt_csv),

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -32,7 +33,7 @@ class TestDiscover:
         ])
         assert rc == 0
         report = json.loads(out.read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["dataset"]["n"] == 958
         assert report["dataset"]["d"] == 10
         top = report["results"][0]
@@ -61,6 +62,14 @@ class TestDiscover:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1\n", encoding="utf-8")
         assert main(["discover", "--input", str(bad)]) == 2
+
+    def test_oversized_field_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "big.csv"
+        bad.write_text("a,b\n" + "x" * (csv.field_size_limit() + 1) + ",1\n",
+                       encoding="utf-8")
+        assert main(["discover", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "error:" in err[0] and "line 2" in err[0]
 
     def test_bad_flags_are_usage_errors(self, small_csv):
         with pytest.raises(SystemExit) as exc:
@@ -105,8 +114,7 @@ class TestDiscover:
 
     def test_deterministic_reports(self, small_csv, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        argv = ["discover", "--input", str(small_csv), "--k", "4",
-                "--seed", "5", "--json"]
+        argv = ["discover", "--input", str(small_csv), "--k", "4", "--json"]
         assert main(argv + [str(out1)]) == 0
         assert main(argv + [str(out2)]) == 0
         assert strip_timing(out1) == strip_timing(out2)
@@ -126,6 +134,11 @@ class TestDiscover:
     (["discover", "--input", "{tmp}/x.csv", "--budget", "-1"], 1),
     (["discover", "--input", "{tmp}"], 2),
     (["score", "--input", "{tmp}", "--set", "a,b"], 2),
+    (["regret", "--dims", "6", "--bands", "0:1", "--estimators", "exact",
+      "--n-grid", "10", "--trials", "1"], 1),
+    (["regret", "--dims", "10"], 1),
+    (["chance", "--n", "1"], 1),
+    (["chance", "--d", "1"], 1),
 ])
 def test_error_contract(argv, code, tmp_path, capsys):
     """Bad values exit 1 at parse time and unreadable input exits 2, each

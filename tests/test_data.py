@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,20 @@ class TestParseCsv:
     def test_non_utf8(self):
         with pytest.raises(ParseError, match="UTF-8"):
             parse_csv(b"\xff\xfe-is-not-utf8\n1,2")
+
+    def test_bare_cr_line_endings(self):
+        text = "a,b\nx,1\ny,2\n"
+        assert parse_csv(text.replace("\n", "\r")) == parse_csv(text)
+        assert parse_csv(text.replace("\n", "\r").encode()) == parse_csv(text)
+
+    def test_crlf_keeps_quoted_line_break(self):
+        table = parse_csv(b'a,b\r\n"two\r\nlines",1\r\nz,2\r\n')
+        assert table.columns == (("two\r\nlines", "z"), ("1", "2"))
+
+    def test_oversized_field_names_line(self):
+        big = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(ParseError, match="line 3"):
+            parse_csv(f"a,b\nx,1\n{big},2\n")
 
 
 class TestDiscretize:
@@ -107,18 +123,18 @@ class TestDiscretize:
 class TestEncode:
     def test_first_occurrence_order(self):
         table = RawTable(("c",), (("a", "b", "a"),), 3)
-        ds = encode(table, discretize_numeric=False)
+        ds = encode(table, numeric_cols="none")
         assert ds.attributes[0].codes.tolist() == [0, 1, 0]
         assert ds.attributes[0].domain_size == 2
 
     def test_numeric_flag_off_token_semantics(self):
         table = RawTable(("c",), (("1.0", "2.0", "1.0", "3.0"),), 4)
-        ds = encode(table, discretize_numeric=False)
+        ds = encode(table, numeric_cols="none")
         assert ds.attributes[0].domain_size == 3
 
     def test_numeric_auto_discretizes(self):
         table = RawTable(("c",), (tuple(str(i) for i in range(10)),), 10)
-        ds = encode(table, discretize_numeric=True, bins=5)
+        ds = encode(table, bins=5)
         assert ds.attributes[0].domain_size == 5
 
     def test_mixed_auto_detection(self):
@@ -152,6 +168,11 @@ class TestEncode:
         assert attr.domain_size == 3
         assert attr.codes.tolist() == [0] * 90 + [1] * 5 + [2] * 5
 
+    def test_explicit_numeric_text_column_names_token(self):
+        table = RawTable(("num", "txt"), (("1", "2", "3"), ("1", "b", "3")), 3)
+        with pytest.raises(DataError, match=r"column 'txt'.*'b'"):
+            encode(table, numeric_cols=["num", "txt"])
+
     def test_too_few_rows(self):
         table = RawTable(("a",), (("1",),), 1)
         with pytest.raises(DataError, match="n - 1"):
@@ -174,10 +195,10 @@ class TestEncode:
     @settings(max_examples=100, deadline=None)
     def test_reencoding_preserves_entropy(self, tokens):
         table = RawTable(("c",), (tuple(tokens),), len(tokens))
-        ds = encode(table, discretize_numeric=False)
+        ds = encode(table, numeric_cols="none")
         relabeled = tuple(str(9 - c) for c in ds.attributes[0].codes.tolist())
         ds2 = encode(
-            RawTable(("c",), (relabeled,), len(tokens)), discretize_numeric=False
+            RawTable(("c",), (relabeled,), len(tokens)), numeric_cols="none"
         )
         assert ds2.attributes[0].domain_size == ds.attributes[0].domain_size
         assert ds2.attributes[0].entropy == pytest.approx(
