@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import entropy
+from .estimators import _dense, entropy
 
 __all__ = [
     "DataError",
@@ -96,13 +96,12 @@ class EncodedDataset:
 
 
 def _make_attribute(name: str, codes: np.ndarray, n: int) -> Attribute:
-    values, dense = np.unique(codes, return_inverse=True)
-    dense = dense.astype(np.int64, copy=False)
-    counts = np.bincount(dense, minlength=len(values))
+    low = int(codes.min(initial=0))  # from_codes takes negative codes too
+    dense, counts = _dense(codes - low, int(codes.max(initial=0)) - low + 1)
     return Attribute(
         name=name,
         codes=dense,
-        domain_size=int(len(values)),
+        domain_size=int(len(counts)),
         entropy=entropy(counts, n),
     )
 
@@ -110,14 +109,16 @@ def _make_attribute(name: str, codes: np.ndarray, n: int) -> Attribute:
 def parse_csv(data: bytes | str, has_header: bool = True) -> RawTable:
     """Parse comma-separated UTF-8 text into a RawTable.
 
-    Lines may end in LF, CRLF or a bare CR. Without a header, column names
-    X1..Xd are synthesized. Malformed CSV, including a row whose field count
-    differs from the first row's, raises a ParseError naming the line. Rows
-    containing empty fields are dropped and counted.
+    One leading byte-order mark is dropped. Lines may end in LF, CRLF or a
+    bare CR. Without a header, column names X1..Xd are synthesized.
+    Malformed CSV, including a row whose field count differs from the first
+    row's, raises a ParseError naming the line. Rows containing empty fields
+    are dropped and counted.
     """
     reader = csv.reader(
-        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-        if isinstance(data, bytes) else io.StringIO(data, newline="")
+        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+        if isinstance(data, bytes)
+        else io.StringIO(data.removeprefix("\ufeff"), newline="")
     )
     rows = []
     names = None
@@ -188,8 +189,7 @@ def discretize_equal_frequency(values, bins: int) -> np.ndarray:
     group_of_rank = np.repeat(np.arange(bins, dtype=np.int64), sizes)
     first_rank = np.flatnonzero(is_first)[value_of_rank]
     codes[order] = group_of_rank[first_rank]
-    _, compact = np.unique(codes, return_inverse=True)
-    return compact.astype(np.int64, copy=False)
+    return _dense(codes, bins)[0]
 
 
 def _floats(column, name: str) -> np.ndarray:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "RowPartition",
@@ -97,6 +96,29 @@ class RowPartition:
         return entropy(self.cell_counts, self.n)
 
 
+# Key spaces up to this many keys per row are counted, larger ones sorted.
+# Counting costs O(n + space) and sorting O(n log n). Timed on a 2-core x86
+# host with uniformly drawn keys at n = 5k-100k, counting is 2.5-3.6x faster
+# than np.unique at space = n, 1.2-1.5x at 2n, and slower from 3n on.
+_COUNTING_SPACE_PER_ROW = 2
+
+
+def _dense(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number non-negative integer keys below ``space`` densely, in
+    ascending key order: returns each key's rank among the distinct keys
+    and the count of each distinct key, as ``np.unique`` would.
+    """
+    if space <= _COUNTING_SPACE_PER_ROW * keys.shape[0]:
+        counts = np.bincount(keys, minlength=space)
+        occupied = counts > 0
+        remap = np.cumsum(occupied)
+        remap -= 1
+        inverse, counts = remap[keys], counts[occupied]
+    else:
+        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return inverse.astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
+
+
 def refine_partition(parent: RowPartition, attr) -> RowPartition:
     """Split every cell of ``parent`` by the codes of one more attribute.
 
@@ -108,17 +130,17 @@ def refine_partition(parent: RowPartition, attr) -> RowPartition:
     if domain <= 1:
         return parent
     keys = parent.cell_of_row * domain + attr.codes
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    inverse, counts = _dense(keys, parent.cell_count * domain)
     return RowPartition(
-        cell_of_row=inverse.astype(np.int64, copy=False),
-        cell_counts=counts.astype(np.int64, copy=False),
-        cell_count=int(counts.shape[0]),
+        cell_of_row=inverse, cell_counts=counts, cell_count=int(counts.shape[0])
     )
 
 
 @lru_cache(maxsize=8)
 def _log_factorials(n: int) -> np.ndarray:
     """Table of ln(k!) for k = 0..n."""
+    from scipy.special import gammaln  # only the exact oracle needs scipy
+
     table = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
     table.flags.writeable = False
     return table

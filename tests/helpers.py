@@ -10,11 +10,25 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from corrsets.data import EncodedDataset
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict[str, str]:
+    """This environment with the checkout's ``src`` first on PYTHONPATH, so a
+    subprocess imports the same corrsets however pytest was started."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def random_dataset(rng: np.random.Generator, d: int, n: int,

@@ -1,9 +1,12 @@
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
 from corrsets.cli import main
+from helpers import src_env
 
 
 def strip_timing(path):
@@ -185,6 +188,11 @@ class TestScore:
         assert rc == 2
         assert "distinct" in capsys.readouterr().err
 
+    def test_utf8_bom_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("a,b\n0,0\n1,1\n0,1\n".encode("utf-8-sig"))
+        assert main(["score", "--input", str(path), "--set", "a,b"]) == 0
+
     def test_set_whitespace_tolerated(self, small_csv):
         assert main(["score", "--input", str(small_csv),
                      "--set", " a , b "]) == 0
@@ -299,12 +307,20 @@ class TestTopLevel:
         assert exc.value.code == 0
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "corrsets", "chance", "--d", "3", "--n", "50"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("cardinality")
+
+    @pytest.mark.parametrize("module", ["corrsets", "corrsets.cli"])
+    def test_import_leaves_scipy_unloaded(self, module):
+        # scipy is needed only by the exact oracle and dominates import time
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=src_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

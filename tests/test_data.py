@@ -2,7 +2,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrsets.data import (
@@ -52,6 +52,13 @@ class TestParseCsv:
     def test_non_utf8(self):
         with pytest.raises(ParseError, match="UTF-8"):
             parse_csv(b"\xff\xfe-is-not-utf8\n1,2")
+
+    def test_utf8_bom_dropped(self):
+        plain = parse_csv("a,b\nx,1\n")
+        assert parse_csv("a,b\nx,1\n".encode("utf-8-sig")) == plain
+        assert parse_csv("\ufeffa,b\nx,1\n") == plain
+        # only one leading mark is a byte-order mark; a second is data
+        assert parse_csv("\ufeff\ufeffa,b\n").column_names == ("\ufeffa", "b")
 
     def test_bare_cr_line_endings(self):
         text = "a,b\nx,1\ny,2\n"
@@ -216,3 +223,19 @@ class TestEncode:
         ds = EncodedDataset.from_codes(["v"], [np.array([5, 9, 5, 9])], 4)
         assert ds.attributes[0].codes.tolist() == [0, 1, 0, 1]
         assert ds.attributes[0].domain_size == 2
+
+    @given(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=30))
+    @example([-2, 5, -2, 0])
+    @settings(max_examples=200, deadline=None)
+    def test_from_codes_ranks_codes_in_value_order(self, codes):
+        codes = np.array(codes, dtype=np.int64)
+        values, ranks = np.unique(codes, return_inverse=True)
+        attr = EncodedDataset.from_codes(["v"], [codes], len(codes)).attributes[0]
+        assert attr.codes.dtype == np.int64
+        assert attr.codes.tolist() == ranks.tolist()
+        assert attr.domain_size == len(values)
+
+    def test_from_codes_sparse_codes(self):
+        ds = EncodedDataset.from_codes(["v"], [np.array([7, 3, 7, 100])], 4)
+        assert ds.attributes[0].codes.tolist() == [1, 0, 1, 2]
+        assert ds.attributes[0].domain_size == 3

@@ -1,11 +1,13 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrsets import estimators
 from corrsets.data import EncodedDataset
 from corrsets.estimators import (
     RowPartition,
@@ -77,6 +79,87 @@ class TestRefinePartition:
         pairs = set(zip(parent.cell_of_row.tolist(), attr.codes.tolist()))
         assert part.cell_count == len(pairs)
         assert int(part.cell_counts.sum()) == 30
+
+
+def unique_refine(parent, attr):
+    """Reference refinement: sort the (parent cell, code) keys with np.unique."""
+    if attr.domain_size <= 1:
+        return parent
+    keys = parent.cell_of_row * attr.domain_size + attr.codes
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return RowPartition(inverse, counts, len(counts))
+
+
+def assert_same_partition(got, want):
+    assert got.cell_of_row.dtype == got.cell_counts.dtype == np.int64
+    assert np.array_equal(got.cell_of_row, want.cell_of_row)
+    assert np.array_equal(got.cell_counts, want.cell_counts)
+    assert got.cell_count == want.cell_count
+
+
+@st.composite
+def code_columns(draw):
+    """n rows and 1-4 columns of codes below a declared domain size, which
+    ranges from 1 (constant) to 3n + 3 (nearly all codes distinct), so
+    refinement key spaces fall on both sides of the counting threshold."""
+    n = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        domain = draw(st.integers(1, 3 * n + 3))
+        codes = draw(st.lists(st.integers(0, domain - 1), min_size=n, max_size=n))
+        columns.append(SimpleNamespace(
+            codes=np.array(codes, dtype=np.int64), domain_size=domain,
+        ))
+    return n, columns
+
+
+class TestRefineKernel:
+    """refine_partition against the np.unique reference, exactly."""
+
+    @given(code_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_chain_matches_unique_reference(self, drawn):
+        n, columns = drawn
+        got = want = RowPartition.trivial(n)
+        for attr in columns:
+            got = refine_partition(got, attr)
+            want = unique_refine(want, attr)
+            assert_same_partition(got, want)
+
+    @pytest.mark.parametrize("first, second, counted", [
+        ("binary", "ids", True),  # 2 cells x 500 codes: 2n keys, counted
+        ("ids", "wide", False),  # 500 cells x 50 codes: 50n keys, sorted
+    ])
+    def test_counting_and_sorting_paths(self, first, second, counted):
+        n = 500
+        rng = np.random.default_rng(3)
+        columns = {
+            "binary": SimpleNamespace(codes=rng.integers(0, 2, n), domain_size=2),
+            "ids": SimpleNamespace(codes=rng.permutation(n), domain_size=n),
+            "wide": SimpleNamespace(codes=rng.integers(0, 50, n), domain_size=50),
+        }
+        parent = refine_partition(RowPartition.trivial(n), columns[first])
+        attr = columns[second]
+        space = parent.cell_count * attr.domain_size
+        assert (space <= estimators._COUNTING_SPACE_PER_ROW * n) == counted
+        assert_same_partition(
+            refine_partition(parent, attr), unique_refine(parent, attr)
+        )
+
+    def test_constant_attribute_returns_parent(self):
+        parent = refine_partition(
+            RowPartition.trivial(3),
+            SimpleNamespace(codes=np.array([0, 1, 0]), domain_size=2),
+        )
+        const = SimpleNamespace(codes=np.zeros(3, dtype=np.int64), domain_size=1)
+        assert refine_partition(parent, const) is parent
+
+    def test_single_row(self):
+        attr = SimpleNamespace(codes=np.array([2]), domain_size=3)
+        part = refine_partition(RowPartition.trivial(1), attr)
+        assert part.cell_of_row.tolist() == [0]
+        assert part.cell_counts.tolist() == [1]
+        assert part.cell_count == 1
 
 
 class TestExpectedMiPermutation:

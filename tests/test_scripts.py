@@ -1,19 +1,13 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from helpers import ROOT, src_env
 
 
 def run_script(name, *args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
+        capture_output=True, text=True, cwd=cwd, env=src_env(), timeout=120,
     )
 
 
