@@ -33,6 +33,7 @@ __all__ = [
     "SubsetScore",
     "ESTIMATORS",
     "entropy",
+    "xlog2x_table",
     "refine_partition",
     "expected_mi_permutation",
     "m0_upper",
@@ -52,18 +53,41 @@ ORACLE_MAX_MEMBERS = 8  # factorial enumeration cap for exact/upper corrections
 _LOG2 = math.log(2.0)
 
 
+# x * log2(x) at x = 0, 1, 2, ..., grown to about twice the largest count
+# seen. Each entry is computed once and kept, so its bits cannot depend on
+# where in an array numpy's log2 happened to compute it.
+_XLOG2X = np.zeros(2)
+
+
+def xlog2x_table(top: int) -> np.ndarray:
+    """The table of x * log2(x), covering x = 0..top at least.
+
+    Entropies sum its entries over counts sorted ascending, one at a time
+    from the left (``np.cumsum``). Counts of 0 and 1 add exactly 0, so the
+    sum depends on the multiset of counts above 1 alone: not on cell order,
+    zero cells or singleton cells.
+    """
+    global _XLOG2X
+    if top >= _XLOG2X.shape[0]:
+        x = np.arange(_XLOG2X.shape[0], max(int(top) + 1, 2 * _XLOG2X.shape[0]),
+                      dtype=np.float64)
+        x *= np.log2(x)
+        _XLOG2X = np.concatenate([_XLOG2X, x])
+    return _XLOG2X
+
+
 def entropy(counts, n: int) -> float:
     """Plug-in Shannon entropy in bits of a count vector summing to n.
 
-    Zero counts contribute nothing. The caller guarantees sum(counts) == n.
-    A single nonzero count (a constant column) is exactly 0, not the
-    rounding residue of log2(n) - log2(n).
+    The caller guarantees sum(counts) == n. Computed as log2(n) - S / n with
+    S the sorted sum over :func:`xlog2x_table`, so the bits do not depend on
+    the order of the counts or on zero counts. A count of n (a constant
+    column) gives exactly 0, not the rounding residue of log2(n) - log2(n).
     """
-    c = np.asarray(counts, dtype=np.float64)
-    c = c[c > 0]
-    if c.size <= 1:
+    c = np.sort(np.asarray(counts, dtype=np.int64))
+    if c.shape[0] == 0 or c[-1] == n:
         return 0.0
-    return float(np.log2(n) - np.dot(c, np.log2(c)) / n)
+    return float(math.log2(n) - np.cumsum(xlog2x_table(c[-1])[c])[-1] / n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -198,13 +198,18 @@ def _child(ctx: SearchContext, parent: SearchNode, rank: int,
     return SearchNode(members=members, score=score, partition=part)
 
 
-def expand(node: SearchNode, ctx: SearchContext) -> list[SearchNode]:
+def expand(node: SearchNode, ctx: SearchContext, stop=lambda: False) -> list[SearchNode]:
     """All children of a node: one per rank above its last member, scored
-    incrementally from the parent partition."""
-    if node.last_index >= ctx.d - 1:
-        return []
-    part = node.partition if node.partition is not None else ctx.partition_of(node.members)
-    return [_child(ctx, node, rank, part) for rank in range(node.last_index + 1, ctx.d)]
+    incrementally from the parent partition. Scoring ends early once
+    ``stop()``, asked after each child, returns True."""
+    children: list[SearchNode] = []
+    if node.last_index < ctx.d - 1:
+        part = node.partition if node.partition is not None else ctx.partition_of(node.members)
+        for rank in range(node.last_index + 1, ctx.d):
+            children.append(_child(ctx, node, rank, part))
+            if stop():
+                break
+    return children
 
 
 def bound_mon(node: SearchNode) -> float:
@@ -240,7 +245,7 @@ def branch_and_bound(
     On natural termination every returned rank-i entry scores at least
     alpha times the best achievable score at that rank. A ``budget`` in
     seconds returns the best found so far with ``stats.completed`` False
-    when exceeded.
+    when exceeded; it is checked after every scored child.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -255,17 +260,22 @@ def branch_and_bound(
     # heap entries (-potential, members, node); member tuples are unique so
     # the node itself is never compared
     heap: list[tuple[float, tuple[int, ...], SearchNode]] = [(-1.0, (), root)]
-    while heap:
+
+    def out_of_time() -> bool:
         if budget is not None and time.perf_counter() - started > budget:
             stats.completed = False
-            break
+        return not stats.completed
+
+    while heap and not out_of_time():
         neg_pot, _, node = heap[0]
         if not alpha * -neg_pot > store.threshold():
             # best-first: nothing left in the queue can qualify
             stats.nodes_pruned += len(heap)
             break
         heapq.heappop(heap)
-        children = expand(node, ctx)
+        # the budget is checked after every child, so one wide expansion
+        # cannot overrun it; the children scored so far are still offered
+        children = expand(node, ctx, out_of_time)
         node.partition = None
         for child in children:
             stats.nodes_explored += 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from .estimators import (
     entropy,
     refine_partition,
     score_subset,
+    xlog2x_table,
 )
-from .search import walk
 
 __all__ = [
     "BandSamplingError",
@@ -38,6 +39,7 @@ __all__ = [
     "population_w",
     "sample_joint_in_band",
     "check_regret_size",
+    "score_samples",
     "run_regret",
     "chance_demo",
     "write_curves_tsv",
@@ -45,7 +47,12 @@ __all__ = [
 
 REGRET_ESTIMATORS = ("plugin", "relaxed", "upper", "exact", "population")
 N_INDEPENDENT = 3  # independent variables appended to each dependent table
-REGRET_MAX_VARS = 12  # the exhaustive regret argmax walks 2^vars subsets
+REGRET_MAX_VARS = 12  # the regret argmax scores all 2^vars subsets
+
+# Cells in the count tensor of one batch of regret samples (8 MiB as int64),
+# so memory is flat in the trial count. A batch holds at least one sample;
+# 3^12 cells, the largest REGRET_MAX_VARS table at domain 3, fit.
+_BATCH_CELLS = 1 << 20
 
 _REJECTION_BATCH = 512
 
@@ -200,16 +207,19 @@ class SyntheticSpec:
     def true_max_w(self) -> float:
         return max(self.population.values())
 
+    def sample_cells(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw n i.i.d. rows from the full joint table, as flat cell indices."""
+        return rng.choice(self.full_table.probs.size, size=n, p=self.full_table.probs)
+
+    def dataset_of(self, cells: np.ndarray) -> EncodedDataset:
+        """The dataset whose rows are the given flat cell indices."""
+        columns = np.unravel_index(cells, self.full_table.dims)
+        names = [f"V{i + 1}" for i in range(self.num_vars)]
+        return EncodedDataset.from_codes(names, columns, len(cells))
+
     def sample_dataset(self, n: int, rng: np.random.Generator) -> EncodedDataset:
         """Draw n i.i.d. rows from the full joint table."""
-        cells = rng.choice(self.full_table.probs.size, size=n, p=self.full_table.probs)
-        columns = []
-        stride = self.full_table.probs.size
-        for dim in self.full_table.dims:
-            stride //= dim
-            columns.append((cells // stride) % dim)
-        names = [f"V{i + 1}" for i in range(self.num_vars)]
-        return EncodedDataset.from_codes(names, columns, n)
+        return self.dataset_of(self.sample_cells(n, rng))
 
 
 @dataclass(frozen=True)
@@ -223,25 +233,84 @@ class RegretCurve:
     trials: int
 
 
-def _empirical_argmax(dataset: EncodedDataset, spec: SyntheticSpec,
-                      estimators) -> dict[str, tuple[int, ...]]:
-    """Best subset (size >= 2, sorted indices) per estimator. Ties go to
-    the smallest subset, then to the lexicographically smallest one."""
-    best: dict[str, tuple] = {}
-    for node in walk(dataset):
-        subset = tuple(sorted(node.score.members))
-        for est in estimators:
-            if est == "plugin":
-                value = node.score.plugin_score
-            elif est == "relaxed":
-                value = node.score.corrected_score
-            elif est == "population":
-                value = spec.population[subset]
-            else:  # reference corrections, scored from scratch
-                value = score_subset(dataset, subset, estimator=est).corrected_score
-            key = (-value, len(subset), subset)
-            best[est] = min(best.get(est, key), key)
-    return {est: key[2] for est, key in best.items()}
+@lru_cache(maxsize=4096)
+def _relaxed_bits(sorted_sizes: tuple[int, ...], n: int) -> float:
+    return correction_relaxed_bits(sorted_sizes, n)
+
+
+def score_samples(spec: SyntheticSpec, cells, estimators):
+    """Score every subset of two or more variables on each sample.
+
+    ``cells`` holds one array of flat cell indices per sample, as from
+    :meth:`SyntheticSpec.sample_cells`. Returns the subsets in (size,
+    lexicographic) order and, per estimator, a (samples, subsets) array of
+    values. ``plugin`` and ``relaxed`` come from one count tensor and are
+    bit-identical to :func:`~corrsets.estimators.score_subset` on each
+    sample's dataset; ``upper`` and ``exact`` call it.
+    """
+    dims = spec.full_table.dims
+    m, rows = len(dims), len(cells)
+    subsets = [s for k in range(2, m + 1) for s in itertools.combinations(range(m), k)]
+    values = {}
+    if {"plugin", "relaxed"} & set(estimators):
+        n = np.array([len(c) for c in cells])
+        log2n = np.array([math.log2(x) for x in n.tolist()])
+        # samples run along the last axis, so every marginal sum adds long
+        # contiguous runs
+        flat = np.concatenate([c * rows + r for r, c in enumerate(cells)])
+        counts = np.bincount(flat, minlength=spec.full_table.probs.size * rows)
+        h, d = {}, {}
+
+        def visit(table, axes, dropped):
+            # entropy() of each sample: the same sorted sum, log2(n) and
+            # constant-column rule (one cell holds all n), so the bits agree
+            c = table.reshape(-1, rows).T.copy()
+            c.sort(axis=1)
+            sums = np.cumsum(xlog2x_table(c[:, -1].max())[c], axis=1)[:, -1]
+            h[axes] = np.where(c[:, -1] < n, log2n - sums / n, 0.0)
+            if len(axes) == 1:
+                d[axes[0]] = np.count_nonzero(table, axis=0)
+                return
+            for pos, axis in enumerate(axes):
+                if axis > dropped:  # so each subset is summed exactly once
+                    visit(table.sum(axis=pos), axes[:pos] + axes[pos + 1:], axis)
+
+        visit(counts.reshape(dims + (rows,)), tuple(range(m)), -1)
+        # per (sample, subset): member entropies in decreasing order, index
+        # tiebreak, then -1 for non-members, which add 0.0 at the end of the
+        # left-to-right sum the incremental scorer makes
+        member = np.array([[a in s for a in range(m)] for s in subsets])
+        hs = np.where(member, np.stack([h[(a,)] for a in range(m)], 1)[:, None], -1.0)
+        hs = np.take_along_axis(hs, np.argsort(-hs, axis=2, kind="stable"), axis=2)
+        entropy_sum = np.cumsum(np.maximum(hs, 0.0), axis=2)[..., -1]
+        total = entropy_sum - np.stack([h[s] for s in subsets], axis=1)
+        norm = entropy_sum - hs[..., 0]
+        # one relaxed correction per distinct (sorted domain sizes, n)
+        sizes = np.where(member, np.stack([d[a] for a in range(m)], 1)[:, None], 0)
+        sizes = np.sort(sizes, axis=2).reshape(-1, m)
+        keys = np.ravel_multi_index(
+            (np.repeat(n, len(subsets)),) + tuple(sizes.T),
+            (int(n.max()) + 1,) + (int(sizes.max()) + 1,) * m,
+        )
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        bits = np.array([
+            _relaxed_bits(tuple(sizes[i][sizes[i] > 0].tolist()), int(n[i // len(subsets)]))
+            for i in first
+        ])[inverse].reshape(rows, len(subsets))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plugin = np.minimum(np.maximum(total / norm, 0.0), 1.0)
+            values["plugin"] = np.where(norm > 0.0, plugin, 0.0)
+            values["relaxed"] = np.where(norm > 0.0, plugin - bits / norm, 0.0)
+    if "population" in estimators:
+        pop = np.array([spec.population[s] for s in subsets])
+        values["population"] = np.broadcast_to(pop, (rows, len(subsets)))
+    for est in {"upper", "exact"} & set(estimators):
+        values[est] = np.array([
+            [score_subset(spec.dataset_of(c), s, estimator=est).corrected_score
+             for s in subsets]
+            for c in cells
+        ])
+    return subsets, {est: values[est] for est in estimators}
 
 
 def check_regret_size(num_vars: int, estimators) -> None:
@@ -276,13 +345,21 @@ def run_regret(
     n_grid = [int(n) for n in n_grid]
     true_max = spec.true_max_w
     samples = {est: np.zeros((len(n_grid), trials)) for est in estimators}
-    for ni, n in enumerate(n_grid):
-        for j in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ni, j)))
-            dataset = spec.sample_dataset(n, rng)
-            winners = _empirical_argmax(dataset, spec, estimators)
-            for est in estimators:
-                samples[est][ni, j] = true_max - spec.population[winners[est]]
+    pairs = [(ni, j) for ni in range(len(n_grid)) for j in range(trials)]
+    batch = max(1, _BATCH_CELLS // spec.full_table.probs.size)
+    for start in range(0, len(pairs), batch):
+        cells = [
+            spec.sample_cells(n_grid[ni], np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(ni, j))))
+            for ni, j in pairs[start:start + batch]
+        ]
+        subsets, values = score_samples(spec, cells, estimators)
+        population = np.array([spec.population[s] for s in subsets])
+        for est in estimators:
+            # argmax takes the first maximum: ties go to the smallest, then
+            # the lexicographically smallest subset
+            regret = true_max - population[values[est].argmax(axis=1)]
+            samples[est].flat[start:start + len(cells)] = regret
     curves = {}
     for est in estimators:
         mat = samples[est]

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from corrsets.data import EncodedDataset
+from corrsets.estimators import score_subset
+from corrsets.search import walk
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -137,3 +139,27 @@ def brute_force_topk(scores: dict[tuple[int, ...], float], k: int):
     """The k best (members, score) pairs of a :func:`brute_force_scores`
     result: score descending, then lexicographically smallest members."""
     return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+def walk_argmax(dataset: EncodedDataset, spec, estimators) -> dict[str, tuple[int, ...]]:
+    """Best subset (size >= 2, sorted indices) per regret estimator, scored
+    one subset at a time along :func:`corrsets.search.walk`. Ties go to the
+    smallest subset, then to the lexicographically smallest one. Unlike the
+    oracles above it runs library code: the partition walk, which shares
+    only the entropy sum and the relaxed correction with the count-tensor
+    scorer in ``corrsets.synth`` that it checks."""
+    best: dict[str, tuple] = {}
+    for node in walk(dataset):
+        subset = tuple(sorted(node.score.members))
+        for est in estimators:
+            if est == "plugin":
+                value = node.score.plugin_score
+            elif est == "relaxed":
+                value = node.score.corrected_score
+            elif est == "population":
+                value = spec.population[subset]
+            else:  # reference corrections, scored from scratch
+                value = score_subset(dataset, subset, estimator=est).corrected_score
+            key = (-value, len(subset), subset)
+            best[est] = min(best.get(est, key), key)
+    return {est: key[2] for est, key in best.items()}

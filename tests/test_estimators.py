@@ -21,7 +21,9 @@ from corrsets.estimators import (
     m0_upper,
     refine_partition,
     score_subset,
+    xlog2x_table,
 )
+from corrsets.search import branch_and_bound
 from helpers import (
     chain_mi_sum,
     oracle_permutation_mean_mi,
@@ -44,6 +46,43 @@ class TestEntropy:
 
     def test_zero_counts_ignored(self):
         assert entropy([2, 0, 2], 4) == entropy([2, 2], 4)
+
+    @given(
+        counts=st.lists(st.integers(0, 300), min_size=1, max_size=40),
+        zeros=st.integers(0, 10),
+        ones=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bits_depend_on_count_multiset_only(self, counts, zeros, ones, seed):
+        counts = np.array(counts, dtype=np.int64)
+        n = int(counts.sum())
+        padded = np.random.default_rng(seed).permutation(
+            np.concatenate([counts, np.zeros(zeros, dtype=np.int64)])
+        )
+        if n > 0:
+            assert entropy(padded, n) == entropy(counts, n)
+        # cells of 0 and 1 rows add exactly nothing to the sorted sum
+        more = np.sort(np.concatenate([padded, np.ones(ones, dtype=np.int64)]))
+        table = xlog2x_table(300)
+        assert np.cumsum(table[more])[-1] == np.cumsum(table[np.sort(counts)])[-1]
+
+    def test_tictactoe_board_triples_tie_in_lexicographic_order(self, ttt):
+        # four board-cell triples related by the board's symmetries score the
+        # same mathematically; they must tie to the bit and rank by the
+        # documented rule (smallest entropy-rank tuple first)
+        store, _ = branch_and_bound(ttt, k=9)
+        triples = [
+            {"top-middle", "middle-left", "bottom-right"},
+            {"top-middle", "middle-right", "bottom-left"},
+            {"middle-left", "bottom-middle", "top-right"},
+            {"middle-right", "bottom-middle", "top-left"},
+        ]
+        found = [(ranks, value) for ranks, value, score in store.results
+                 if {ttt.attributes[i].name for i in score.members} in triples]
+        assert len(found) == 4
+        assert len({value for _, value in found}) == 1
+        assert [ranks for ranks, _ in found] == sorted(ranks for ranks, _ in found)
 
 
 class TestRefinePartition:

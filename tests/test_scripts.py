@@ -22,3 +22,13 @@ def test_tictactoe_discovery(tmp_path):
     proc = run_script("tictactoe_discovery.py", "--k", "2", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "top-2:" in proc.stdout
+
+
+def test_estimator_experiments(tmp_path):
+    out = tmp_path / "experiments"
+    proc = run_script("estimator_experiments.py", "--trials", "2", "--out-dir", str(out),
+                      cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "chance.json", "regret_plugin.tsv", "regret_relaxed.tsv", "regret_summary.json",
+    ]

@@ -1,11 +1,13 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrsets import search
 from corrsets.data import EncodedDataset
 from corrsets.estimators import SubsetScore, score_subset
 from corrsets.search import (
@@ -260,6 +262,18 @@ class TestBranchAndBound:
         ds = random_dataset(rng, d=10, n=100)
         _, stats = branch_and_bound(ds, k=1, budget=0.0)
         assert not stats.completed
+
+    def test_budget_expires_inside_one_expansion(self, monkeypatch):
+        # a clock that advances one second per reading: the budget runs out
+        # while the root's ten children are being scored
+        ticks = itertools.count()
+        monkeypatch.setattr(search, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        ds = random_dataset(np.random.default_rng(26), d=10, n=100)
+        store, stats = branch_and_bound(ds, k=1, budget=4.5)
+        assert not stats.completed
+        assert 1 < stats.nodes_explored < 1 + ds.d
+        assert len(store) == 0  # singletons only: none is eligible
 
     def test_results_map_to_original_indices(self, ttt):
         store, _ = branch_and_bound(ttt, k=1)

@@ -1,8 +1,13 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from corrsets import synth
+from corrsets.search import walk
 from corrsets.synth import (
     REGRET_ESTIMATORS,
     BandSamplingError,
@@ -13,10 +18,10 @@ from corrsets.synth import (
     population_w,
     run_regret,
     sample_joint_in_band,
-    _empirical_argmax,
+    score_samples,
     write_curves_tsv,
 )
-from helpers import oracle_entropy
+from helpers import oracle_entropy, walk_argmax
 
 
 def uniform_pair():
@@ -201,11 +206,77 @@ class TestEmpiricalArgmax:
         probs = np.zeros(27)
         probs[[0, 13, 26]] = 1 / 3
         spec = SyntheticSpec.build(JointTable(dims=(3, 3, 3), probs=probs))
-        ds = spec.sample_dataset(30, np.random.default_rng(0))
+        cells = spec.sample_cells(30, np.random.default_rng(0))
+        ds = spec.dataset_of(cells)
         codes = [a.codes for a in ds.attributes]
         assert np.array_equal(codes[0], codes[1]) and np.array_equal(codes[0], codes[2])
-        winners = _empirical_argmax(ds, spec, REGRET_ESTIMATORS)
+        subsets, values = score_samples(spec, [cells], REGRET_ESTIMATORS)
+        winners = {est: subsets[v[0].argmax()] for est, v in values.items()}
         assert winners == {est: (0, 1) for est in REGRET_ESTIMATORS}
+
+
+@lru_cache(maxsize=None)
+def full_band_spec(dims: int, seed: int) -> SyntheticSpec:
+    return SyntheticSpec.build(sample_joint_in_band(dims, (0.0, 1.0), rng_seed=seed))
+
+
+def assert_batch_matches_walk(spec, cells, estimators=("plugin", "relaxed", "population")):
+    """score_samples equals the subset walk value for value, and its
+    first-maximum winners equal walk_argmax's explicit tie key."""
+    subsets, values = score_samples(spec, cells, estimators)
+    column = {s: i for i, s in enumerate(subsets)}
+    for row, sample in enumerate(cells):
+        ds = spec.dataset_of(sample)
+        seen = 0
+        for node in walk(ds):
+            i = column[tuple(sorted(node.score.members))]
+            assert values["plugin"][row, i] == node.score.plugin_score
+            assert values["relaxed"][row, i] == node.score.corrected_score
+            seen += 1
+        assert seen == len(subsets)
+        winners = {est: subsets[values[est][row].argmax()] for est in estimators}
+        assert winners == walk_argmax(ds, spec, estimators)
+
+
+class TestScoreSamples:
+    @given(dims=st.integers(2, 5), seed=st.integers(0, 2), n=st.integers(10, 100),
+           draw=st.integers(0, 2**32 - 1))
+    @example(dims=5, seed=0, n=100, draw=1)
+    @example(dims=4, seed=1, n=10, draw=2)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_walk(self, dims, seed, n, draw):
+        spec = full_band_spec(dims, seed)
+        rng = np.random.default_rng(draw)
+        # samples of different sizes share one batch in run_regret
+        cells = [spec.sample_cells(n, rng), spec.sample_cells(10 + draw % 91, rng)]
+        assert_batch_matches_walk(spec, cells)
+
+    def test_constant_columns_match_walk(self):
+        # V1 takes its first value with probability 0.9, so at n = 10..13
+        # many samples hold it as a constant column
+        probs = np.full((3, 3), 0.1 / 6)
+        probs[0] = [0.5, 0.3, 0.1]
+        spec = SyntheticSpec.build(JointTable(dims=(3, 3), probs=probs.ravel()))
+        rng = np.random.default_rng(12)
+        cells = [spec.sample_cells(n, rng) for n in range(10, 14) for _ in range(10)]
+        constant = [c for c in cells if spec.dataset_of(c).attributes[0].domain_size == 1]
+        assert len(constant) >= 5
+        assert_batch_matches_walk(spec, cells)
+
+    def test_three_copies_tie_matches_walk(self):
+        probs = np.zeros(27)
+        probs[[0, 13, 26]] = 1 / 3
+        spec = SyntheticSpec.build(JointTable(dims=(3, 3, 3), probs=probs))
+        rng = np.random.default_rng(1)
+        cells = [spec.sample_cells(n, rng) for n in (10, 13, 30)]
+        # exact is left to TestEmpiricalArgmax: it costs seconds per sample here
+        assert_batch_matches_walk(spec, cells, ("plugin", "relaxed", "population", "upper"))
+
+    def test_one_sample_per_batch_gives_same_curves(self, monkeypatch, spec_high_band):
+        args = (spec_high_band, ["plugin", "relaxed", "population"], [10, 20, 30])
+        whole = run_regret(*args, trials=7, seed=5)
+        monkeypatch.setattr(synth, "_BATCH_CELLS", 1)
+        assert run_regret(*args, trials=7, seed=5) == whole
 
 
 class TestChanceDemo:
