@@ -22,10 +22,7 @@ from .data import (
 from .estimators import (
     RowPartition,
     SubsetScore,
-    correction_exact,
-    correction_relaxed,
     correction_relaxed_bits,
-    correction_upper,
     entropy,
     expected_mi_permutation,
     m0_relaxed,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -326,6 +327,12 @@ def _curve_dict(curve: RegretCurve) -> dict:
 
 def cmd_regret(args) -> int:
     estimators = args.estimators
+    # checked before sampling, which takes seconds, so a bad path writes nothing
+    for folder in (args.out_dir, os.path.dirname(args.json or "") or "."):
+        if not os.path.isdir(folder):
+            raise DataError(f"no such directory: {folder}")
+    if args.json and os.path.isdir(args.json):
+        raise DataError(f"--json {args.json} is a directory")
     try:  # before sampling, which at large --dims costs memory first
         check_regret_size(max(args.dims) + N_INDEPENDENT, estimators)
     except ValueError as exc:

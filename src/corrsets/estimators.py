@@ -15,8 +15,10 @@ terms derived from a fixed-marginal permutation null model:
   products of marginal domain sizes, which makes the ordering that
   maximizes the summed correction computable by sorting.
 
-All logarithms are base 2 (bits). The normalized scores are ratios of
-bit quantities and therefore invariant to the choice of base.
+:func:`score_subset` is the one entry point for a subset's score and its
+correction under every estimator. All logarithms are base 2 (bits). The
+normalized scores are ratios of bit quantities and therefore invariant to
+the choice of base.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ __all__ = [
     "m0_upper",
     "m0_relaxed",
     "correction_relaxed_bits",
-    "correction_relaxed",
-    "correction_exact",
-    "correction_upper",
     "assemble_score",
     "score_subset",
 ]
@@ -76,18 +75,35 @@ def xlog2x_table(top: int) -> np.ndarray:
     return _XLOG2X
 
 
-def entropy(counts, n: int) -> float:
+def entropy(counts, n):
     """Plug-in Shannon entropy in bits of a count vector summing to n.
 
     The caller guarantees sum(counts) == n. Computed as log2(n) - S / n with
     S the sorted sum over :func:`xlog2x_table`, so the bits do not depend on
     the order of the counts or on zero counts. A count of n (a constant
     column) gives exactly 0, not the rounding residue of log2(n) - log2(n).
+
+    ``counts`` may also be a (rows, cells) array with ``n`` an int array of
+    its row sums: the result is then each row's entropy, bit-equal to the
+    call on that row alone.
     """
-    c = np.sort(np.asarray(counts, dtype=np.int64))
-    if c.shape[0] == 0 or c[-1] == n:
+    c = np.array(counts, dtype=np.int64, order="C")  # rows sort fastest in C order
+    c.sort(axis=-1)
+    if c.shape[-1] == 0 or (c.ndim == 1 and c[-1] == n):
         return 0.0
-    return float(math.log2(n) - np.cumsum(xlog2x_table(c[-1])[c])[-1] / n)
+    top = c.T[-1]  # each row's largest count; .T keeps one vector's scalars fast
+    sums = np.cumsum(xlog2x_table(top if c.ndim == 1 else top.max())[c], axis=-1).T[-1]
+    if c.ndim == 1:
+        return float(math.log2(n) - sums / n)
+    return np.where(top < n, _log2_rows(np.asarray(n, np.int64).tobytes()) - sums / n, 0.0)
+
+
+@lru_cache(maxsize=8)
+def _log2_rows(n: bytes) -> np.ndarray:
+    """math.log2 of each int64 in ``n``, computed once for a batch's row sums."""
+    log2n = np.array([math.log2(v) for v in np.frombuffer(n, np.int64).tolist()])
+    log2n.flags.writeable = False  # every call with these n shares it
+    return log2n
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +119,6 @@ class RowPartition:
     cell_counts: np.ndarray
     cell_count: int
 
-    @property
-    def n(self) -> int:
-        return int(self.cell_of_row.shape[0])
-
     @classmethod
     def trivial(cls, n: int) -> "RowPartition":
         """The single-cell partition (empty attribute set)."""
@@ -115,9 +127,6 @@ class RowPartition:
             cell_counts=np.array([n], dtype=np.int64),
             cell_count=1,
         )
-
-    def joint_entropy(self) -> float:
-        return entropy(self.cell_counts, self.n)
 
 
 # Key spaces up to this many keys per row are counted, larger ones sorted.
@@ -258,16 +267,6 @@ def correction_relaxed_bits(domain_sizes, n: int) -> float:
     return total
 
 
-def correction_relaxed(domain_sizes, n: int, w_norm: float) -> float:
-    """Relaxed correction term: max-over-orderings bound sum over the normalizer."""
-    sizes = list(domain_sizes)
-    if len(sizes) < 2:
-        raise ValueError("need at least 2 domain sizes")
-    if w_norm <= 0:
-        raise ValueError("degenerate normalizer; caller applies the zero-score rule")
-    return correction_relaxed_bits(sizes, n) / w_norm
-
-
 def _ordered_members(dataset, members) -> list[int]:
     """Validate and canonicalize member indices: decreasing entropy, index tiebreak."""
     idx = list(members)
@@ -282,21 +281,14 @@ def _ordered_members(dataset, members) -> list[int]:
     return sorted(idx, key=lambda i: (-dataset.attributes[i].entropy, i))
 
 
-def _normalizer(dataset, ordered) -> float:
-    h_sum = 0.0
-    for i in ordered:
-        h_sum += dataset.attributes[i].entropy
-    return h_sum - dataset.attributes[ordered[0]].entropy
-
-
-def _max_correction_bits(dataset, members, term) -> float:
-    """Maximize a summed per-step correction over all member orderings.
+def _max_correction_bits(dataset, ordered, term) -> float:
+    """Maximize a summed per-step correction over all orderings of the
+    members of ``ordered``, an output of :func:`_ordered_members`.
 
     ``term(prefix_partition, attr)`` supplies the step value. Partitions and
     step values are memoized on the prefix *set*, which collapses the m!
     orderings to the distinct (prefix, next) pairs.
     """
-    ordered = _ordered_members(dataset, members)
     if len(ordered) > ORACLE_MAX_MEMBERS:
         raise ValueError(f"oracle correction limited to {ORACLE_MAX_MEMBERS} members")
     n = dataset.n
@@ -327,51 +319,6 @@ def _max_correction_bits(dataset, members, term) -> float:
             prefix = prefix | {nxt}
         best = max(best, total)
     return best
-
-
-def _correction_exact_bits(dataset, ordered) -> float:
-    n = dataset.n
-
-    def term(part: RowPartition, attr) -> float:
-        counts = np.bincount(attr.codes, minlength=attr.domain_size)
-        return expected_mi_permutation(part.cell_counts, counts, n)
-
-    return _max_correction_bits(dataset, ordered, term)
-
-
-def _correction_upper_bits(dataset, ordered) -> float:
-    n = dataset.n
-
-    def term(part: RowPartition, attr) -> float:
-        return m0_upper(part.cell_count, attr.domain_size, n)
-
-    return _max_correction_bits(dataset, ordered, term)
-
-
-def correction_exact(dataset, members) -> float:
-    """Exact permutation-model correction term (test oracle, <= 8 members).
-
-    Maximizes the summed expected MI between each joint prefix and the next
-    attribute over all orderings, normalized by the subset's normalizer.
-    """
-    ordered = _ordered_members(dataset, members)
-    w_norm = _normalizer(dataset, ordered)
-    if w_norm <= 0:
-        raise ValueError("degenerate normalizer; caller applies the zero-score rule")
-    return _correction_exact_bits(dataset, ordered) / w_norm
-
-
-def correction_upper(dataset, members) -> float:
-    """Domain-size-bound correction term (test oracle, <= 8 members).
-
-    As :func:`correction_exact` but each step uses :func:`m0_upper` with the
-    observed count of distinct joint prefix values.
-    """
-    ordered = _ordered_members(dataset, members)
-    w_norm = _normalizer(dataset, ordered)
-    if w_norm <= 0:
-        raise ValueError("degenerate normalizer; caller applies the zero-score rule")
-    return _correction_upper_bits(dataset, ordered) / w_norm
 
 
 @dataclass(frozen=True)
@@ -438,8 +385,11 @@ def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
 
     ``estimator`` is one of ``plugin`` (no correction), ``relaxed`` (the
     production estimator), or the oracle variants ``upper`` / ``exact``
-    (restricted to 8 members). The result does not depend on the input
-    order of ``members``.
+    (restricted to 8 members), whose correction is the maximum over member
+    orderings of the summed :func:`m0_upper` or
+    :func:`expected_mi_permutation` steps. A zero normalizer gives a
+    correction and scores of 0 under every estimator. The result does not
+    depend on the input order of ``members``.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
@@ -452,7 +402,7 @@ def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
         part = refine_partition(part, attr)
         entropy_sum += attr.entropy
     entropy_max = dataset.attributes[ordered[0]].entropy
-    joint = part.joint_entropy()
+    joint = entropy(part.cell_counts, n)
     sizes = [dataset.attributes[i].domain_size for i in ordered]
     w_norm = entropy_sum - entropy_max
 
@@ -461,9 +411,12 @@ def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
     elif estimator == "relaxed":
         bits = correction_relaxed_bits(sizes, n)
     elif estimator == "upper":
-        bits = _correction_upper_bits(dataset, ordered)
+        bits = _max_correction_bits(dataset, ordered, lambda part, attr: m0_upper(
+            part.cell_count, attr.domain_size, n))
     else:
-        bits = _correction_exact_bits(dataset, ordered)
+        bits = _max_correction_bits(
+            dataset, ordered, lambda part, attr: expected_mi_permutation(
+                part.cell_counts, np.bincount(attr.codes, minlength=attr.domain_size), n))
     return assemble_score(
         tuple(ordered), entropy_sum, entropy_max, joint, sizes, n,
         correction_bits=bits,

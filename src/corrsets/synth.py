@@ -27,7 +27,6 @@ from .estimators import (
     entropy,
     refine_partition,
     score_subset,
-    xlog2x_table,
 )
 
 __all__ = [
@@ -47,11 +46,12 @@ __all__ = [
 
 REGRET_ESTIMATORS = ("plugin", "relaxed", "upper", "exact", "population")
 N_INDEPENDENT = 3  # independent variables appended to each dependent table
+DOMAIN = 3  # domain size of every variable of a regret table
 REGRET_MAX_VARS = 12  # the regret argmax scores all 2^vars subsets
 
 # Cells in the count tensor of one batch of regret samples (8 MiB as int64),
 # so memory is flat in the trial count. A batch holds at least one sample;
-# 3^12 cells, the largest REGRET_MAX_VARS table at domain 3, fit.
+# 3^12 cells, the largest REGRET_MAX_VARS table at DOMAIN, fit.
 _BATCH_CELLS = 1 << 20
 
 _REJECTION_BATCH = 512
@@ -139,7 +139,6 @@ def sample_joint_in_band(
     band: tuple[float, float],
     rng_seed=0,
     max_attempts: int = 200_000,
-    domain: int = 3,
 ) -> JointTable:
     """Rejection-sample a joint table whose exact w lies in [a, b).
 
@@ -153,8 +152,8 @@ def sample_joint_in_band(
     if d < 2:
         raise ValueError("need at least 2 dependent variables")
     rng = np.random.default_rng(rng_seed)
-    dims = (domain,) * d
-    cells = domain**d
+    dims = (DOMAIN,) * d
+    cells = DOMAIN**d
     achieved = []
     attempts = 0
     while attempts < max_attempts:
@@ -184,14 +183,10 @@ class SyntheticSpec:
     population: dict[tuple[int, ...], float]
 
     @classmethod
-    def build(cls, dependent: JointTable, n_independent: int = N_INDEPENDENT,
-              independent_domain: int = 3) -> "SyntheticSpec":
-        extra = independent_domain**n_independent
+    def build(cls, dependent: JointTable) -> "SyntheticSpec":
+        extra = DOMAIN**N_INDEPENDENT
         probs = np.kron(dependent.probs, np.full(extra, 1.0 / extra))
-        full = JointTable(
-            dims=dependent.dims + (independent_domain,) * n_independent,
-            probs=probs,
-        )
+        full = JointTable(dims=dependent.dims + (DOMAIN,) * N_INDEPENDENT, probs=probs)
         total = full.num_vars
         population = {}
         for size in range(1, total + 1):
@@ -254,7 +249,6 @@ def score_samples(spec: SyntheticSpec, cells, estimators):
     values = {}
     if {"plugin", "relaxed"} & set(estimators):
         n = np.array([len(c) for c in cells])
-        log2n = np.array([math.log2(x) for x in n.tolist()])
         # samples run along the last axis, so every marginal sum adds long
         # contiguous runs
         flat = np.concatenate([c * rows + r for r, c in enumerate(cells)])
@@ -262,12 +256,7 @@ def score_samples(spec: SyntheticSpec, cells, estimators):
         h, d = {}, {}
 
         def visit(table, axes, dropped):
-            # entropy() of each sample: the same sorted sum, log2(n) and
-            # constant-column rule (one cell holds all n), so the bits agree
-            c = table.reshape(-1, rows).T.copy()
-            c.sort(axis=1)
-            sums = np.cumsum(xlog2x_table(c[:, -1].max())[c], axis=1)[:, -1]
-            h[axes] = np.where(c[:, -1] < n, log2n - sums / n, 0.0)
+            h[axes] = entropy(table.reshape(-1, rows).T, n)
             if len(axes) == 1:
                 d[axes[0]] = np.count_nonzero(table, axis=0)
                 return

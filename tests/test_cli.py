@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from corrsets import cli
 from corrsets.cli import main
 from helpers import src_env
 
@@ -249,6 +250,25 @@ class TestRegret:
         ])
         assert rc == 2
         assert "skipped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--out-dir", "{tmp}/missing"],
+        ["--json", "{tmp}/missing/r.json"],
+        ["--json", "{tmp}"],
+    ])
+    def test_bad_output_path_refused_before_sampling(self, flags, tmp_path,
+                                                     monkeypatch, capsys):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before the output paths were checked")
+
+        monkeypatch.setattr(cli, "sample_joint_in_band", sample)
+        rc = main(["regret", "--dims", "2", "--bands", "0.1:0.4", "--n-grid", "20",
+                   "--trials", "1", "--out-dir", str(tmp_path)]
+                  + [flag.replace("{tmp}", str(tmp_path)) for flag in flags])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("corrsets regret: error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic(self, tmp_path):
         outs = []

@@ -11,10 +11,7 @@ from corrsets import estimators
 from corrsets.data import EncodedDataset
 from corrsets.estimators import (
     RowPartition,
-    correction_exact,
-    correction_relaxed,
     correction_relaxed_bits,
-    correction_upper,
     entropy,
     expected_mi_permutation,
     m0_relaxed,
@@ -66,6 +63,31 @@ class TestEntropy:
         more = np.sort(np.concatenate([padded, np.ones(ones, dtype=np.int64)]))
         table = xlog2x_table(300)
         assert np.cumsum(table[more])[-1] == np.cumsum(table[np.sort(counts)])[-1]
+
+    @given(
+        counts=st.lists(st.lists(st.integers(0, 300), min_size=1, max_size=10),
+                        min_size=1, max_size=8),
+        constant=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_rows_equal_single_calls(self, counts, constant, seed):
+        rng = np.random.default_rng(seed)
+        width = max(len(row) for row in counts) + 3
+        batch = np.zeros((len(counts) + 1, width), dtype=np.int64)
+        batch[-1, rng.integers(width)] = constant  # a constant row
+        for r, row in enumerate(counts):
+            # pad each row to the common width with 0 and 1 counts, then permute
+            pad = rng.integers(0, 2, size=width - len(row))
+            batch[r] = rng.permutation(np.concatenate([row, pad]))
+        n = batch.sum(axis=1)  # a different n per row
+        batch, n = batch[n > 0], n[n > 0]
+        got = entropy(batch, n)
+        assert got.shape == n.shape
+        for row, total, h in zip(batch, n.tolist(), got.tolist()):
+            assert h == entropy(row, total)
+        # the scorer passes a transposed view, which is not in C order
+        assert np.array_equal(entropy(np.asfortranarray(batch), n), got)
 
     def test_tictactoe_board_triples_tie_in_lexicographic_order(self, ttt):
         # four board-cell triples related by the board's symmetries score the
@@ -276,20 +298,12 @@ class TestM0Bounds:
 
 class TestCorrectionRelaxed:
     def test_two_triples(self):
-        got = correction_relaxed([3, 3], 100, math.log2(3))
+        got = correction_relaxed_bits([3, 3], 100) / math.log2(3)
         assert got == pytest.approx(math.log2(109 / 99) / math.log2(3), abs=1e-12)
         assert got == pytest.approx(0.087590, abs=1e-5)
 
-    def test_degenerate_normalizer_signals(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            correction_relaxed([2, 2], 10, 0.0)
-
-    def test_needs_two_sizes(self):
-        with pytest.raises(ValueError):
-            correction_relaxed([3], 10, 1.0)
-
     def test_vanishes_for_large_n(self):
-        assert correction_relaxed([4, 4, 4], 10**9, 2.0) < 1e-6
+        assert correction_relaxed_bits([4, 4, 4], 10**9) / 2.0 < 1e-6
 
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6),
@@ -308,11 +322,11 @@ class TestOracleCorrections:
         ds = random_dataset(rng, d=2, n=40, dependent=False)
         a0, a1 = ds.attributes
         w_norm = a0.entropy + a1.entropy - max(a0.entropy, a1.entropy)
-        got_u = correction_upper(ds, [0, 1])
+        got_u = score_subset(ds, [0, 1], estimator="upper").correction
         assert got_u == pytest.approx(
             m0_upper(a0.domain_size, a1.domain_size, 40) / w_norm, abs=1e-12
         )
-        got_e = correction_exact(ds, [0, 1])
+        got_e = score_subset(ds, [0, 1], estimator="exact").correction
         counts0 = np.bincount(a0.codes)
         counts1 = np.bincount(a1.codes)
         want = expected_mi_permutation(counts0, counts1, 40) / w_norm
@@ -348,10 +362,10 @@ class TestOracleCorrections:
             )
             for p in itertools.permutations(range(3))
         )
-        assert correction_exact(ds, [0, 1, 2]) == pytest.approx(
+        assert score_subset(ds, [0, 1, 2], estimator="exact").correction == pytest.approx(
             brute_exact / w_norm, abs=1e-12
         )
-        assert correction_upper(ds, [0, 1, 2]) == pytest.approx(
+        assert score_subset(ds, [0, 1, 2], estimator="upper").correction == pytest.approx(
             brute_upper / w_norm, abs=1e-12
         )
 
@@ -365,10 +379,9 @@ class TestOracleCorrections:
             w_norm = sum(entropies) - max(entropies)
             if w_norm <= 0:
                 continue
-            exact = correction_exact(ds, members)
-            upper = correction_upper(ds, members)
-            relaxed = correction_relaxed(
-                [a.domain_size for a in ds.attributes], ds.n, w_norm
+            exact, upper, relaxed = (
+                score_subset(ds, members, estimator=est).correction
+                for est in ("exact", "upper", "relaxed")
             )
             assert exact <= upper + 1e-12
             assert upper <= relaxed + 1e-12
@@ -377,7 +390,7 @@ class TestOracleCorrections:
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, d=9, n=20, dependent=False)
         with pytest.raises(ValueError, match="8"):
-            correction_exact(ds, list(range(9)))
+            score_subset(ds, list(range(9)), estimator="exact")
 
 
 class TestScoreSubset:

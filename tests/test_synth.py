@@ -177,10 +177,9 @@ class TestRunRegret:
             run_regret(spec, ["nope"], n_grid=[10], trials=1)
         with pytest.raises(ValueError, match="trials"):
             run_regret(spec, ["plugin"], n_grid=[10], trials=0)
-        big = SyntheticSpec.build(
-            sample_joint_in_band(2, (0.0, 1.0), rng_seed=0), n_independent=7,
-            independent_domain=2,
-        )
+        # the size check runs before anything reads the population
+        table = JointTable(dims=(2,) * 9, probs=np.full(2**9, 2.0**-9))
+        big = SyntheticSpec(dependent=table, full_table=table, population={})
         with pytest.raises(ValueError, match="8 variables"):
             run_regret(big, ["exact"], n_grid=[10], trials=1)
 
