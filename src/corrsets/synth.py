@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,25 +70,50 @@ class JointTable:
     probs: np.ndarray  # flat, C-order over dims
 
     def __post_init__(self):
+        if np.shape(self.probs) != (math.prod(self.dims),):
+            raise ValueError(f"probs has shape {np.shape(self.probs)}, not "
+                             f"({math.prod(self.dims)},) for dims {self.dims}")
+        if not (self.probs >= 0).all():
+            raise ValueError("probabilities must be nonnegative numbers, not NaN")
         if abs(float(self.probs.sum()) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
-        if float(self.probs.min()) < 0:
-            raise ValueError("probabilities must be nonnegative")
 
     @property
     def num_vars(self) -> int:
         return len(self.dims)
 
-    def marginal(self, axes: tuple[int, ...]) -> np.ndarray:
-        """Marginal table over the given (sorted) axes."""
-        grid = self.probs.reshape(self.dims)
-        drop = tuple(i for i in range(self.num_vars) if i not in axes)
-        return grid.sum(axis=drop) if drop else grid
 
-    def entropy_bits(self, axes: tuple[int, ...] | None = None) -> float:
-        p = (self.probs if axes is None else self.marginal(axes)).ravel()
-        p = p[p > 0]
-        return float(-np.dot(p, np.log2(p)))
+def _exact_w(probs: np.ndarray, dims: tuple[int, ...], subsets) -> np.ndarray:
+    """Exact w of each subset (distinct axes) of each flat joint table in
+    ``probs``, as a (tables, subsets) array, computing each marginal entropy
+    once. A zero normalizer, as for every singleton, gives 0."""
+    m = len(dims)
+    subsets = [tuple(sorted(s)) for s in subsets]
+    for s in subsets:
+        if not s or len(set(s)) < len(s) or s[0] < 0 or s[-1] >= m:
+            raise ValueError(f"subset {s} must be nonempty, distinct axes in [0, {m})")
+    batch = np.asarray(probs).reshape((-1,) + dims)
+    h = {}
+
+    def ent(axes):
+        if axes not in h:
+            p = batch.sum(axis=tuple(b + 1 for b in range(m) if b not in axes))
+            p = p.reshape(len(batch), -1)
+            q = np.where(p > 0, p, 1.0)
+            bits = -(q * np.log2(q)).sum(axis=1)
+            # one positive cell is certain: 0 bits, even if it sums to below 1
+            h[axes] = np.where(np.count_nonzero(p, axis=1) > 1, bits, 0.0)
+        return h[axes]
+
+    singles = np.stack([ent((a,)) for a in range(m)], axis=1)
+    w = np.empty((len(batch), len(subsets)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j, s in enumerate(subsets):
+            members = singles[:, s]
+            h_sum = members.sum(axis=1)
+            norm = h_sum - members.max(axis=1)
+            w[:, j] = np.where(norm > 0, (h_sum - ent(s)) / norm, 0.0)
+    return np.clip(w, 0.0, 1.0)
 
 
 def population_w(joint: JointTable, subset) -> float:
@@ -95,43 +121,7 @@ def population_w(joint: JointTable, subset) -> float:
 
     Zero whenever the normalizer vanishes, which covers all singletons.
     """
-    axes = tuple(sorted(subset))
-    if not axes:
-        raise ValueError("subset must be nonempty")
-    if len(axes) == 1:
-        return 0.0
-    marginals = [joint.entropy_bits((a,)) for a in axes]
-    h_sum = sum(marginals)
-    w = h_sum - joint.entropy_bits(axes)
-    w_norm = h_sum - max(marginals)
-    if w_norm <= 0.0:
-        return 0.0
-    return min(max(w / w_norm, 0.0), 1.0)
-
-
-def _band_w(probs: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Vectorized exact w of a batch of flat joint tables (full variable set)."""
-    batch = probs.reshape((-1,) + dims)
-    m = len(dims)
-
-    def ent(tables: np.ndarray) -> np.ndarray:
-        q = tables.reshape(tables.shape[0], -1)
-        q = np.where(q > 0, q, 1.0)
-        return -(q * np.log2(q)).sum(axis=1)
-
-    h_joint = ent(batch)
-    h_marg = np.stack(
-        [
-            ent(batch.sum(axis=tuple(b for b in range(1, m + 1) if b != a)))
-            for a in range(1, m + 1)
-        ],
-        axis=1,
-    )
-    h_sum = h_marg.sum(axis=1)
-    w_norm = h_sum - h_marg.max(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = (h_sum - h_joint) / w_norm
-    return np.clip(np.where(w_norm > 0, w, 0.0), 0.0, 1.0)
+    return float(_exact_w(joint.probs, joint.dims, [subset])[0, 0])
 
 
 def sample_joint_in_band(
@@ -151,19 +141,19 @@ def sample_joint_in_band(
         raise ValueError("band must satisfy 0 <= a < b <= 1")
     if d < 2:
         raise ValueError("need at least 2 dependent variables")
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     rng = np.random.default_rng(rng_seed)
     dims = (DOMAIN,) * d
-    cells = DOMAIN**d
     achieved = []
     attempts = 0
     while attempts < max_attempts:
         size = min(_REJECTION_BATCH, max_attempts - attempts)
-        tables = rng.dirichlet(np.ones(cells), size=size)
-        ws = _band_w(tables, dims)
-        for i in range(size):
-            w = float(ws[i])
-            if a <= w < b or (b >= 1.0 and w == 1.0):
-                return JointTable(dims=dims, probs=tables[i].copy())
+        tables = rng.dirichlet(np.ones(DOMAIN**d), size=size)
+        ws = _exact_w(tables, dims, [range(d)])[:, 0]
+        hits = np.flatnonzero((a <= ws) & ((ws < b) | (b >= 1.0)))
+        if hits.size:
+            return JointTable(dims=dims, probs=tables[hits[0]].copy())
         achieved.append(ws)
         attempts += size
     hist, _ = np.histogram(np.concatenate(achieved), bins=10, range=(0.0, 1.0))
@@ -187,11 +177,9 @@ class SyntheticSpec:
         extra = DOMAIN**N_INDEPENDENT
         probs = np.kron(dependent.probs, np.full(extra, 1.0 / extra))
         full = JointTable(dims=dependent.dims + (DOMAIN,) * N_INDEPENDENT, probs=probs)
-        total = full.num_vars
-        population = {}
-        for size in range(1, total + 1):
-            for subset in itertools.combinations(range(total), size):
-                population[subset] = population_w(full, subset)
+        m = full.num_vars
+        subsets = [s for k in range(1, m + 1) for s in itertools.combinations(range(m), k)]
+        population = dict(zip(subsets, _exact_w(probs, full.dims, subsets)[0].tolist()))
         return cls(dependent=dependent, full_table=full, population=population)
 
     @property
@@ -202,9 +190,16 @@ class SyntheticSpec:
     def true_max_w(self) -> float:
         return max(self.population.values())
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        cdf = self.full_table.probs.cumsum()
+        return cdf / cdf[-1]
+
     def sample_cells(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n i.i.d. rows from the full joint table, as flat cell indices."""
-        return rng.choice(self.full_table.probs.size, size=n, p=self.full_table.probs)
+        """Draw n i.i.d. rows from the full joint table, as flat cell indices:
+        the draws of ``rng.choice(cells, n, p=probs)``, from a cumulative
+        table built once per spec."""
+        return self._cdf.searchsorted(rng.random(n), side="right")
 
     def dataset_of(self, cells: np.ndarray) -> EncodedDataset:
         """The dataset whose rows are the given flat cell indices."""
@@ -350,17 +345,11 @@ def run_regret(
             regret = true_max - population[values[est].argmax(axis=1)]
             samples[est].flat[start:start + len(cells)] = regret
     curves = {}
-    for est in estimators:
-        mat = samples[est]
-        curves[est] = RegretCurve(
-            estimator=est,
-            n_values=tuple(n_grid),
-            mean_regret=tuple(float(x) for x in mat.mean(axis=1)),
-            stderr=tuple(
-                float(x) for x in mat.std(axis=1, ddof=1) / math.sqrt(trials)
-            ) if trials > 1 else tuple(0.0 for _ in n_grid),
-            trials=trials,
-        )
+    for est, mat in samples.items():
+        err = (mat.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1
+               else np.zeros(len(n_grid)))
+        curves[est] = RegretCurve(est, tuple(n_grid), tuple(mat.mean(axis=1).tolist()),
+                                  tuple(err.tolist()), trials)
     return curves
 
 
@@ -405,8 +394,6 @@ def chance_demo(
 
 def write_curves_tsv(curves: dict[str, RegretCurve], out_dir) -> list[str]:
     """One TSV per estimator: estimator, n, mean_regret, stderr."""
-    import os
-
     paths = []
     for est in sorted(curves):
         curve = curves[est]

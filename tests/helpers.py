@@ -1,9 +1,10 @@
 """Shared test utilities: random dataset builders and independent oracles.
 
 The oracles deliberately avoid the library's computation paths: entropy
-and mutual information are recomputed from Counters with math.log2, the
-permutation-model expectation is averaged over explicitly enumerated
-permutations, and ordering maxima are taken by brute force.
+and mutual information are recomputed from Counters with math.log2,
+population scores from marginals built as dicts and added with
+math.fsum, the permutation-model expectation is averaged over explicitly
+enumerated permutations, and ordering maxima are taken by brute force.
 """
 
 from __future__ import annotations
@@ -93,6 +94,32 @@ def oracle_relaxed_correction_max(domain_sizes, n: int) -> float:
             level = level_next
         best = max(best, total)
     return best
+
+
+def oracle_table_entropy(probs, dims, axes) -> float:
+    """Entropy in bits of the marginal over ``axes`` of a flat C-order
+    joint probability table, built as a dict over explicit cell tuples and
+    summed with math.fsum. The marginal is normalized by its own total, so
+    a single positive cell is a certain outcome of 0 bits."""
+    cells: dict[tuple, list[float]] = {}
+    for cell, p in zip(itertools.product(*(range(k) for k in dims)), probs):
+        cells.setdefault(tuple(cell[a] for a in axes), []).append(float(p))
+    marginal = [math.fsum(ps) for ps in cells.values()]
+    total = math.fsum(marginal)
+    return -math.fsum(p / total * math.log2(p / total) for p in marginal if p > 0)
+
+
+def oracle_population_w(probs, dims, subset) -> float:
+    """Exact normalized total correlation of a variable subset of a flat
+    joint probability table, from :func:`oracle_table_entropy`. A zero
+    normalizer, which covers all singletons, gives 0."""
+    axes = tuple(sorted(subset))
+    singles = [oracle_table_entropy(probs, dims, (a,)) for a in axes]
+    h_sum = math.fsum(singles)
+    norm = h_sum - max(singles)
+    if norm <= 0.0:
+        return 0.0
+    return min(max((h_sum - oracle_table_entropy(probs, dims, axes)) / norm, 0.0), 1.0)
 
 
 def subset_joint_entropy(dataset: EncodedDataset, members) -> float:

@@ -1,9 +1,10 @@
+import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corrsets import synth
@@ -21,7 +22,7 @@ from corrsets.synth import (
     score_samples,
     write_curves_tsv,
 )
-from helpers import oracle_entropy, walk_argmax
+from helpers import oracle_entropy, oracle_population_w, oracle_table_entropy, walk_argmax
 
 
 def uniform_pair():
@@ -39,13 +40,11 @@ class TestJointTable:
         with pytest.raises(ValueError):
             JointTable(dims=(2,), probs=np.array([1.2, -0.2]))
 
-    def test_marginal_and_entropy(self):
-        jt = JointTable(dims=(2, 3), probs=np.array([.1, .2, .1, .2, .1, .3]))
-        marg = jt.marginal((0,))
-        assert marg.tolist() == pytest.approx([0.4, 0.6])
-        assert jt.entropy_bits((0,)) == pytest.approx(
-            -(0.4 * math.log2(0.4) + 0.6 * math.log2(0.6))
-        )
+    def test_rejects_nan_and_wrong_length(self):
+        with pytest.raises(ValueError, match="NaN"):
+            JointTable(dims=(3, 3), probs=np.full(9, np.nan))
+        with pytest.raises(ValueError, match="shape"):
+            JointTable(dims=(2, 2), probs=np.full(3, 1 / 3))
 
 
 class TestPopulationW:
@@ -62,16 +61,29 @@ class TestPopulationW:
         with pytest.raises(ValueError):
             population_w(uniform_pair(), ())
 
+    def test_rejects_repeated_and_missing_axes(self):
+        for subset in ((0, 0), (0, 5), (0, -1), (2,)):
+            with pytest.raises(ValueError, match="distinct axes"):
+                population_w(duplicated_uniform_pair(), subset)
+
+    def test_constant_variable_scores_zero(self):
+        # variable 0 is constant, but its marginal sums to just below 1 in floats
+        probs = np.array([4, 6, 2, 0, 0, 0]) / 12
+        assert population_w(JointTable(dims=(2, 3), probs=probs), (0, 1)) == 0.0
+
     def test_chain_rule_two_ways(self):
         rng = np.random.default_rng(31)
         probs = rng.dirichlet(np.ones(27))
         jt = JointTable(dims=(3, 3, 3), probs=probs)
-        marginals = [jt.entropy_bits((a,)) for a in range(3)]
-        w_direct = sum(marginals) - jt.entropy_bits((0, 1, 2))
+
+        def h(*axes):
+            return oracle_table_entropy(probs, jt.dims, axes)
+
+        marginals = [h(a) for a in range(3)]
+        w_direct = sum(marginals) - h(0, 1, 2)
         # telescoping mutual-information sum
-        h01 = jt.entropy_bits((0, 1))
-        mi_sum = (marginals[0] + marginals[1] - h01) + (
-            h01 + marginals[2] - jt.entropy_bits((0, 1, 2))
+        mi_sum = (marginals[0] + marginals[1] - h(0, 1)) + (
+            h(0, 1) + marginals[2] - h(0, 1, 2)
         )
         assert w_direct == pytest.approx(mi_sum, abs=1e-10)
         w_norm = sum(marginals) - max(marginals)
@@ -108,6 +120,61 @@ class TestSampleJointInBand:
     def test_band_validation(self):
         with pytest.raises(ValueError):
             sample_joint_in_band(2, (0.5, 0.2), rng_seed=0)
+
+    def test_max_attempts_validation(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            sample_joint_in_band(2, (0.0, 1.0), rng_seed=0, max_attempts=0)
+
+
+@st.composite
+def joint_tables(draw, max_tables=1):
+    """(dims, probs): 1..max_tables flat joint tables over 2-4 variables with
+    domains 2-3, as rows of probs, from integer weights with zero cells."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=4)))
+    cells = math.prod(dims)
+    weights = st.lists(st.integers(0, 4), min_size=cells, max_size=cells)
+    rows = draw(st.lists(weights.filter(any), min_size=1, max_size=max_tables))
+    probs = np.array(rows, dtype=float)
+    return dims, probs / probs.sum(axis=1, keepdims=True)
+
+
+def all_subsets(m):
+    return [s for k in range(1, m + 1) for s in itertools.combinations(range(m), k)]
+
+
+class TestExactW:
+    @given(joint_tables())
+    @example(((2, 3), np.array([[.1, .2, .1, .2, .1, .3]])))
+    @example(((2, 3), np.array([[4, 6, 2, 0, 0, 0]]) / 12))
+    @settings(max_examples=150, deadline=None)
+    def test_population_w_matches_oracle(self, table):
+        dims, probs = table
+        jt = JointTable(dims=dims, probs=probs[0])
+        for s in all_subsets(len(dims)):
+            assert abs(population_w(jt, s) - oracle_population_w(probs[0], dims, s)) <= 1e-12
+
+    @given(joint_tables(max_tables=5))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_rows_equal_single_tables(self, table):
+        dims, probs = table
+        subsets = all_subsets(len(dims))
+        batch = synth._exact_w(probs, dims, subsets)
+        assert batch.shape == (len(probs), len(subsets))
+        for row, p in zip(batch, probs):
+            assert np.array_equal(row, synth._exact_w(p, dims, subsets)[0])
+            assert row.tolist() == [population_w(JointTable(dims, p), s) for s in subsets]
+
+    @given(d=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+           band=st.sampled_from([(0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.05, 0.4), (0.0, 1.0)]))
+    @settings(max_examples=40, deadline=None)
+    def test_accepted_table_in_band(self, d, seed, band):
+        try:
+            jt = sample_joint_in_band(d, band, rng_seed=seed, max_attempts=2048)
+        except BandSamplingError:
+            assume(False)
+        w = population_w(jt, range(d))
+        assert band[0] <= w < band[1] or w == band[1] == 1.0
+        assert abs(w - oracle_population_w(jt.probs, jt.dims, range(d))) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +215,17 @@ class TestSyntheticSpec:
     def test_sample_matches_population_at_scale(self, spec):
         ds = spec.sample_dataset(60_000, np.random.default_rng(5))
         observed = oracle_entropy(ds.attributes[0].codes.tolist())
-        expected = spec.full_table.entropy_bits((0,))
+        expected = oracle_table_entropy(spec.full_table.probs, spec.full_table.dims, (0,))
         assert observed == pytest.approx(expected, abs=0.02)
+
+    def test_sample_cells_equal_rng_choice(self, spec):
+        probs = spec.full_table.probs
+        for seed in range(6):
+            for n in (1, 2, 7, 100, 1000):
+                cells = spec.sample_cells(n, np.random.default_rng(seed))
+                expected = np.random.default_rng(seed).choice(probs.size, n, p=probs)
+                assert cells.dtype == expected.dtype
+                assert np.array_equal(cells, expected)
 
 
 class TestRunRegret:
