@@ -25,6 +25,7 @@ from .data import DataError, encode, parse_csv
 from .estimators import ESTIMATORS, ORACLE_MAX_MEMBERS, score_subset
 from .search import SearchStats, TopKStore, branch_and_bound, greedy
 from .synth import (
+    MAX_ATTEMPTS,
     N_INDEPENDENT,
     REGRET_ESTIMATORS,
     BandSamplingError,
@@ -73,8 +74,8 @@ def _int_from(low: int):
 
 def _budget(text: str) -> float:
     value = float(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError("budget must be >= 0 seconds")
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError("budget must be finite and >= 0 seconds")
     return value
 
 
@@ -145,7 +146,7 @@ def build_parser() -> _Parser:
     p_reg.add_argument("--estimators", type=_estimator_list, default="plugin,relaxed",
                        help="comma list from plugin,relaxed,upper,exact,population")
     p_reg.add_argument("--seed", type=int, default=0)
-    p_reg.add_argument("--max-attempts", type=_int_from(1), default=500_000,
+    p_reg.add_argument("--max-attempts", type=_int_from(1), default=MAX_ATTEMPTS,
                        help="rejection-sampling draws per band before skipping")
     p_reg.add_argument("--out-dir", default=".", help="directory for TSV curves")
     p_reg.add_argument("--json", default=None, help="write summary JSON here")
@@ -425,6 +426,8 @@ def cmd_chance(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "discover" and args.algo != "bnb" and args.budget is not None:
+        parser.error("--budget applies only to --algo bnb")
     handlers = {
         "discover": cmd_discover,
         "score": cmd_score,

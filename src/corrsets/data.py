@@ -88,10 +88,16 @@ class EncodedDataset:
     @classmethod
     def from_codes(cls, names, code_columns, n: int) -> "EncodedDataset":
         """Build a dataset from raw integer code columns, compacting each
-        column so codes are dense in [0, observed domain size)."""
+        column so codes are dense in [0, observed domain size). Each name
+        needs one column of exactly ``n`` codes."""
+        if len(names) != len(code_columns):
+            raise DataError(f"{len(names)} names for {len(code_columns)} columns")
         attrs = []
         for name, codes in zip(names, code_columns):
-            attrs.append(_make_attribute(name, np.asarray(codes, dtype=np.int64), n))
+            codes = np.asarray(codes, dtype=np.int64)
+            if codes.shape != (n,):
+                raise DataError(f"column {name!r} has shape {codes.shape}, not ({n},)")
+            attrs.append(_make_attribute(name, codes, n))
         return cls(attributes=tuple(attrs), n=n)
 
 

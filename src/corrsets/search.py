@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 import time
 from collections.abc import Iterator
@@ -94,7 +95,6 @@ class SearchNode:
     members: tuple[int, ...]
     score: SubsetScore
     potential: float | None = None
-    partition: RowPartition | None = None
 
     @property
     def depth(self) -> int:
@@ -135,9 +135,6 @@ class TopKStore:
             return -math.inf
         return -self._entries[-1][0]
 
-    def best(self) -> float:
-        return -self._entries[0][0] if self._entries else -math.inf
-
     @property
     def results(self) -> list[tuple[tuple[int, ...], float, SubsetScore]]:
         """(members, value, score) triples, best first."""
@@ -167,48 +164,41 @@ class SearchStats:
         return self
 
 
-def _root(ctx: SearchContext) -> SearchNode:
-    score = SubsetScore((), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    return SearchNode(
-        members=(), score=score, potential=1.0,
-        partition=RowPartition.trivial(ctx.n),
-    )
+_ROOT = SearchNode((), SubsetScore((), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 1.0)
 
 
-def _child(ctx: SearchContext, parent: SearchNode, rank: int,
-           parent_partition: RowPartition) -> SearchNode:
-    attr = ctx.attrs[rank]
-    part = refine_partition(parent_partition, attr)
-    members = parent.members + (rank,)
-    h = attr.entropy
-    entropy_sum = parent.score.entropy_sum + h
-    if len(members) == 1:
-        score = SubsetScore(
-            ctx.original_members(members), entropy_sum, h, h, 0.0, 0.0,
-            0.0, 0.0, 0.0,
-        )
-        return SearchNode(members=members, score=score, potential=1.0, partition=part)
-    entropy_max = parent.score.entropy_max
-    joint = entropy(part.cell_counts, ctx.n)
-    sizes = [ctx.domain_sizes[r] for r in members]
-    score = assemble_score(
-        ctx.original_members(members), entropy_sum, entropy_max, joint,
-        sizes, ctx.n,
-    )
-    return SearchNode(members=members, score=score, partition=part)
+def _children(ctx: SearchContext, node: SearchNode,
+              part: RowPartition) -> Iterator[tuple[SearchNode, RowPartition]]:
+    """Every child of ``node``, one per rank above its last member, scored
+    from ``part`` (the node's partition) and yielded with its own
+    partition. Singletons score 0 and have potential 1."""
+    for rank in range(node.last_index + 1, ctx.d):
+        attr = ctx.attrs[rank]
+        child_part = refine_partition(part, attr)
+        members = node.members + (rank,)
+        names = ctx.original_members(members)
+        if node.members:
+            score = assemble_score(
+                names, node.score.entropy_sum + attr.entropy,
+                node.score.entropy_max, entropy(child_part.cell_counts, ctx.n),
+                [ctx.domain_sizes[r] for r in members], ctx.n,
+            )
+            yield SearchNode(members, score), child_part
+        else:
+            h = attr.entropy
+            score = SubsetScore(names, h, h, h, 0.0, 0.0, 0.0, 0.0, 0.0)
+            yield SearchNode(members, score, 1.0), child_part
 
 
 def expand(node: SearchNode, ctx: SearchContext, stop=lambda: False) -> list[SearchNode]:
-    """All children of a node: one per rank above its last member, scored
-    incrementally from the parent partition. Scoring ends early once
-    ``stop()``, asked after each child, returns True."""
+    """All children of a node, scored incrementally from its partition,
+    which is rebuilt from the root. Scoring ends early once ``stop()``,
+    asked after each child, returns True."""
     children: list[SearchNode] = []
-    if node.last_index < ctx.d - 1:
-        part = node.partition if node.partition is not None else ctx.partition_of(node.members)
-        for rank in range(node.last_index + 1, ctx.d):
-            children.append(_child(ctx, node, rank, part))
-            if stop():
-                break
+    for child, _ in _children(ctx, node, ctx.partition_of(node.members)):
+        children.append(child)
+        if stop():
+            break
     return children
 
 
@@ -255,11 +245,10 @@ def branch_and_bound(
     ctx = SearchContext(dataset)
     store = TopKStore(k)
     stats = SearchStats()
-    root = _root(ctx)
     stats.nodes_explored = 1
     # heap entries (-potential, members, node); member tuples are unique so
     # the node itself is never compared
-    heap: list[tuple[float, tuple[int, ...], SearchNode]] = [(-1.0, (), root)]
+    heap: list[tuple[float, tuple[int, ...], SearchNode]] = [(-1.0, (), _ROOT)]
 
     def out_of_time() -> bool:
         if budget is not None and time.perf_counter() - started > budget:
@@ -276,21 +265,15 @@ def branch_and_bound(
         # the budget is checked after every child, so one wide expansion
         # cannot overrun it; the children scored so far are still offered
         children = expand(node, ctx, out_of_time)
-        node.partition = None
         for child in children:
             stats.nodes_explored += 1
             stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
             store.offer(child.members, child.score)
         for child in children:
-            child.partition = None  # queued nodes recompute on expansion
             if child.last_index >= ctx.d - 1:
                 continue  # no refinements to cut or keep
-            if child.depth < 2:
-                child.potential = 1.0
-            else:
-                child.potential = bound_mon(child)
-                if alpha * child.potential > store.threshold():
-                    child.potential = min(child.potential, bound_ref(child, ctx))
+            # both bounds are 1 below depth 2, and bound_ref <= bound_mon
+            child.potential = min(bound_mon(child), bound_ref(child, ctx))
             if alpha * child.potential > store.threshold():
                 heapq.heappush(heap, (-child.potential, child.members, child))
             else:
@@ -298,22 +281,17 @@ def branch_and_bound(
     return store, stats.finish(ctx.d, store, started)
 
 
-def _keep_best(ctx: SearchContext, node: SearchNode, best: SearchNode | None,
-               store: TopKStore, stats: SearchStats) -> SearchNode | None:
-    """Offer every child of ``node`` to the store and return the best of
-    them and ``best`` (score descending, then smallest member tuple). Each
-    losing child's partition is dropped as soon as it loses."""
-    for rank in range(node.last_index + 1, ctx.d):
-        child = _child(ctx, node, rank, node.partition)
+def _keep_best(children, best, store: TopKStore, stats: SearchStats):
+    """Offer every (child, partition) pair to the store and return the best
+    of them and ``best`` (score descending, then smallest member tuple)."""
+    for child, part in children:
         stats.nodes_explored += 1
         stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
         store.offer(child.members, child.score)
         if best is None or (-child.score.corrected_score, child.members) < (
-            -best.score.corrected_score, best.members
+            -best[0].score.corrected_score, best[0].members
         ):
-            child, best = best, child  # child now names the loser
-        if child is not None:
-            child.partition = None
+            best = child, part
     return best
 
 
@@ -328,34 +306,32 @@ def greedy(dataset, k: int = 1) -> tuple[TopKStore, SearchStats]:
     ctx = SearchContext(dataset)
     store = TopKStore(k)
     stats = SearchStats()
-    root = _root(ctx)
-    current = None
-    for i in range(ctx.d - 1):
-        current = _keep_best(ctx, _child(ctx, root, i, root.partition),
-                             current, store, stats)
-    while current is not None and current.last_index < ctx.d - 1:
-        if not bound_ref(current, ctx) > store.threshold():
+    best = None  # (node, its partition)
+    # the last singleton has no pairs, so it is never refined
+    singles = _children(ctx, _ROOT, ctx.partition_of(()))
+    for single, part in itertools.islice(singles, ctx.d - 1):
+        best = _keep_best(_children(ctx, single, part), best, store, stats)
+    while best is not None and best[0].last_index < ctx.d - 1:
+        if not bound_ref(best[0], ctx) > store.threshold():
             break  # no refinement of the chain can improve the result set
-        current = _keep_best(ctx, current, None, store, stats)
+        best = _keep_best(_children(ctx, *best), None, store, stats)
     return store, stats.finish(ctx.d, store, started)
 
 
 def walk(dataset) -> Iterator[SearchNode]:
     """Every subset of two or more attributes, depth-first in the
     alphabetical order over entropy ranks, each scored incrementally from
-    its parent's partition. A subtree's partitions are dropped once it is
-    done, so only those on the current root-to-node path stay alive."""
+    its parent's partition. Each partition lives in the recursion frame
+    that refined it, so only those on the current path stay alive."""
     ctx = SearchContext(dataset)
 
-    def subtree(node: SearchNode) -> Iterator[SearchNode]:
-        for rank in range(node.last_index + 1, ctx.d):
-            child = _child(ctx, node, rank, node.partition)
+    def subtree(node: SearchNode, part: RowPartition) -> Iterator[SearchNode]:
+        for child, child_part in _children(ctx, node, part):
             if child.depth >= 2:
                 yield child
-            yield from subtree(child)
-            child.partition = None
+            yield from subtree(child, child_part)
 
-    return subtree(_root(ctx))
+    return subtree(_ROOT, ctx.partition_of(()))
 
 
 def exhaustive_topk(dataset, k: int = 1) -> TopKStore:

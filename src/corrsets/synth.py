@@ -56,6 +56,7 @@ REGRET_MAX_VARS = 12  # the regret argmax scores all 2^vars subsets
 _BATCH_CELLS = 1 << 20
 
 _REJECTION_BATCH = 512
+MAX_ATTEMPTS = 500_000  # rejection-sampling draws per band before giving up
 
 
 class BandSamplingError(RuntimeError):
@@ -128,7 +129,7 @@ def sample_joint_in_band(
     d: int,
     band: tuple[float, float],
     rng_seed=0,
-    max_attempts: int = 200_000,
+    max_attempts: int = MAX_ATTEMPTS,
 ) -> JointTable:
     """Rejection-sample a joint table whose exact w lies in [a, b).
 

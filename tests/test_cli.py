@@ -143,6 +143,8 @@ class TestDiscover:
     (["regret", "--dims", "10"], 1),
     (["chance", "--n", "1"], 1),
     (["chance", "--d", "1"], 1),
+    (["discover", "--input", "{tmp}/x.csv", "--budget", "inf"], 1),
+    (["discover", "--input", "{tmp}/x.csv", "--algo", "greedy", "--budget", "0"], 1),
 ])
 def test_error_contract(argv, code, tmp_path, capsys):
     """Bad values exit 1 at parse time and unreadable input exits 2, each

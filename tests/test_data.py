@@ -219,6 +219,16 @@ class TestEncode:
         kept = ds.drop_constant()
         assert kept.names == ("v",)
 
+    def test_from_codes_rejects_mismatched_columns(self):
+        with pytest.raises(DataError, match="3 names for 2 columns"):
+            EncodedDataset.from_codes(["a", "b", "c"], [[0, 1], [1, 0]], 2)
+        with pytest.raises(DataError, match="'a'"):
+            EncodedDataset.from_codes(["a", "b"], [[0, 1, 1], [0, 1, 0]], 6)
+        with pytest.raises(DataError, match="'b'"):
+            EncodedDataset.from_codes(["a", "b"], [[0, 1, 1], [0, 1]], 3)
+        with pytest.raises(DataError, match="'a'"):
+            EncodedDataset.from_codes(["a"], [[[0, 1], [1, 0]]], 2)
+
     def test_from_codes_compacts(self):
         ds = EncodedDataset.from_codes(["v"], [np.array([5, 9, 5, 9])], 4)
         assert ds.attributes[0].codes.tolist() == [0, 1, 0, 1]

@@ -388,3 +388,32 @@ class TestAgainstBruteForce:
         scores = brute_force_scores(ds)
         assert_matches_brute_force(exhaustive_topk(ds, k=k), scores, k)
         assert_matches_brute_force(branch_and_bound(ds, k=k)[0], scores, k)
+
+
+def refinements_of(search_fn, ds, k):
+    """(result, number of refine_partition calls) of one search."""
+    calls = []
+    refine = search.refine_partition
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "refine_partition",
+                   lambda *args: calls.append(1) or refine(*args))
+        return search_fn(ds, k=k), len(calls)
+
+
+class TestRefinementCounts:
+    """Each search refines once per child it scores, plus the greedy's
+    d - 1 singletons; a hidden rebuild from the root breaks the count."""
+
+    def check(self, ds, k):
+        (_, stats), greedy_refines = refinements_of(greedy, ds, k)
+        assert greedy_refines == (ds.d - 1) + stats.nodes_explored
+        assert refinements_of(exhaustive_topk, ds, k)[1] == 2**ds.d - 1
+
+    @given(ds=small_tables(), k=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_random_tables(self, ds, k):
+        self.check(ds, k)
+
+    @pytest.mark.parametrize("d", [3, 6, 9])
+    def test_seeded_tables(self, d):
+        self.check(random_dataset(np.random.default_rng(31 + d), d=d, n=60), 3)
