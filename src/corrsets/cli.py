@@ -220,6 +220,16 @@ def _stats_dict(stats: SearchStats) -> dict:
     }
 
 
+def _check_outputs(json_path, out_dir) -> None:
+    """Refuse output paths that cannot be written. Asked before any input
+    is read or any work is done, so a bad path costs nothing."""
+    for folder in (out_dir, os.path.dirname(json_path or "") or "."):
+        if not os.path.isdir(folder):
+            raise DataError(f"no such directory: {folder}")
+    if json_path and os.path.isdir(json_path):
+        raise DataError(f"--json {json_path} is a directory")
+
+
 def _write_json(path, report) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -328,12 +338,6 @@ def _curve_dict(curve: RegretCurve) -> dict:
 
 def cmd_regret(args) -> int:
     estimators = args.estimators
-    # checked before sampling, which takes seconds, so a bad path writes nothing
-    for folder in (args.out_dir, os.path.dirname(args.json or "") or "."):
-        if not os.path.isdir(folder):
-            raise DataError(f"no such directory: {folder}")
-    if args.json and os.path.isdir(args.json):
-        raise DataError(f"--json {args.json} is a directory")
     try:  # before sampling, which at large --dims costs memory first
         check_regret_size(max(args.dims) + N_INDEPENDENT, estimators)
     except ValueError as exc:
@@ -435,6 +439,7 @@ def main(argv=None) -> int:
         "chance": cmd_chance,
     }
     try:
+        _check_outputs(args.json, getattr(args, "out_dir", "."))  # only regret has --out-dir
         return handlers[args.command](args)
     except (DataError, OSError) as exc:
         print(f"corrsets {args.command}: error: {exc}", file=sys.stderr)

@@ -24,7 +24,9 @@ import itertools
 import math
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .estimators import (
     RowPartition,
@@ -188,6 +190,7 @@ def _children(ctx: SearchContext, node: SearchNode,
             h = attr.entropy
             score = SubsetScore(names, h, h, h, 0.0, 0.0, 0.0, 0.0, 0.0)
             yield SearchNode(members, score, 1.0), child_part
+        del child_part  # not held while the next child is refined
 
 
 def expand(node: SearchNode, ctx: SearchContext, stop=lambda: False) -> list[SearchNode]:
@@ -224,6 +227,29 @@ def bound_ref(node: SearchNode, ctx: SearchContext) -> float:
     return ratio - node.score.correction
 
 
+# Byte cap on the partitions that branch_and_bound keeps for queued
+# children. A child queued past it has its partition rebuilt from the root
+# when popped, so queue memory stays bounded at any n.
+PARTITION_STORE_BYTES = 64 * 2**20
+
+
+def _pack(part: RowPartition) -> RowPartition:
+    """``part`` with ``cell_of_row`` in the narrowest unsigned dtype that
+    holds its largest cell index. Refine only its :func:`_widen` copy: keys
+    computed from a narrow array would wrap."""
+    return replace(part, cell_of_row=part.cell_of_row.astype(
+        np.min_scalar_type(part.cell_count - 1)))
+
+
+def _widen(packed: RowPartition) -> RowPartition:
+    """The int64 partition that :func:`_pack` narrowed."""
+    return replace(packed, cell_of_row=packed.cell_of_row.astype(np.int64))
+
+
+def _nbytes(part: RowPartition) -> int:
+    return part.cell_of_row.nbytes + part.cell_counts.nbytes
+
+
 def branch_and_bound(
     dataset,
     k: int = 1,
@@ -236,6 +262,10 @@ def branch_and_bound(
     alpha times the best achievable score at that rank. A ``budget`` in
     seconds returns the best found so far with ``stats.completed`` False
     when exceeded; it is checked after every scored child.
+
+    Each queued child keeps its partition, packed narrow, so a popped node
+    is refined only into its children; past ``PARTITION_STORE_BYTES`` a
+    child is queued without one and rebuilt from the root when popped.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -246,9 +276,10 @@ def branch_and_bound(
     store = TopKStore(k)
     stats = SearchStats()
     stats.nodes_explored = 1
-    # heap entries (-potential, members, node); member tuples are unique so
-    # the node itself is never compared
-    heap: list[tuple[float, tuple[int, ...], SearchNode]] = [(-1.0, (), _ROOT)]
+    # heap entries (-potential, members, node, packed partition or None);
+    # member tuples are unique so neither node nor partition is compared
+    heap = [(-1.0, (), _ROOT, None)]
+    stored = 0  # bytes of the packed partitions in the heap
 
     def out_of_time() -> bool:
         if budget is not None and time.perf_counter() - started > budget:
@@ -256,34 +287,47 @@ def branch_and_bound(
         return not stats.completed
 
     while heap and not out_of_time():
-        neg_pot, _, node = heap[0]
+        neg_pot, _, node, packed = heap[0]
         if not alpha * -neg_pot > store.threshold():
             # best-first: nothing left in the queue can qualify
             stats.nodes_pruned += len(heap)
             break
         heapq.heappop(heap)
-        # the budget is checked after every child, so one wide expansion
-        # cannot overrun it; the children scored so far are still offered
-        children = expand(node, ctx, out_of_time)
-        for child in children:
+        if packed is None:
+            part = ctx.partition_of(node.members)
+        else:
+            stored -= _nbytes(packed)
+            part = _widen(packed)
+        # every child is offered before any is pushed; the budget is checked
+        # after every child, so one wide expansion cannot overrun it
+        children = []
+        for child, child_part in _children(ctx, node, part):
             stats.nodes_explored += 1
             stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
             store.offer(child.members, child.score)
-        for child in children:
-            if child.last_index >= ctx.d - 1:
-                continue  # no refinements to cut or keep
+            if child.last_index < ctx.d - 1:  # else no refinements to cut or keep
+                children.append((child, _pack(child_part)))
+            if out_of_time():
+                break
+        for child, packed in children:
             # both bounds are 1 below depth 2, and bound_ref <= bound_mon
             child.potential = min(bound_mon(child), bound_ref(child, ctx))
-            if alpha * child.potential > store.threshold():
-                heapq.heappush(heap, (-child.potential, child.members, child))
-            else:
+            if not alpha * child.potential > store.threshold():
                 stats.nodes_pruned += 1
+                continue
+            if stored + _nbytes(packed) > PARTITION_STORE_BYTES:
+                packed = None  # rebuilt from the root when popped
+            else:
+                stored += _nbytes(packed)
+            heapq.heappush(heap, (-child.potential, child.members, child, packed))
     return store, stats.finish(ctx.d, store, started)
 
 
-def _keep_best(children, best, store: TopKStore, stats: SearchStats):
+def _keep_best(children, store: TopKStore, stats: SearchStats):
     """Offer every (child, partition) pair to the store and return the best
-    of them and ``best`` (score descending, then smallest member tuple)."""
+    of them (score descending, then smallest member tuple), or None. A
+    losing child's partition is dropped as soon as it loses."""
+    best = None
     for child, part in children:
         stats.nodes_explored += 1
         stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
@@ -292,6 +336,7 @@ def _keep_best(children, best, store: TopKStore, stats: SearchStats):
             -best[0].score.corrected_score, best[0].members
         ):
             best = child, part
+        del part
     return best
 
 
@@ -306,15 +351,15 @@ def greedy(dataset, k: int = 1) -> tuple[TopKStore, SearchStats]:
     ctx = SearchContext(dataset)
     store = TopKStore(k)
     stats = SearchStats()
-    best = None  # (node, its partition)
-    # the last singleton has no pairs, so it is never refined
-    singles = _children(ctx, _ROOT, ctx.partition_of(()))
-    for single, part in itertools.islice(singles, ctx.d - 1):
-        best = _keep_best(_children(ctx, single, part), best, store, stats)
+    # the last singleton has no pairs, so it is never refined; one pass
+    # over all pairs holds a single best pair (node, its partition)
+    singles = itertools.islice(_children(ctx, _ROOT, ctx.partition_of(())), ctx.d - 1)
+    pairs = itertools.chain.from_iterable(_children(ctx, *single) for single in singles)
+    best = _keep_best(pairs, store, stats)
     while best is not None and best[0].last_index < ctx.d - 1:
         if not bound_ref(best[0], ctx) > store.threshold():
             break  # no refinement of the chain can improve the result set
-        best = _keep_best(_children(ctx, *best), None, store, stats)
+        best = _keep_best(_children(ctx, *best), store, stats)
     return store, stats.finish(ctx.d, store, started)
 
 

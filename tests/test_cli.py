@@ -145,18 +145,27 @@ class TestDiscover:
     (["chance", "--d", "1"], 1),
     (["discover", "--input", "{tmp}/x.csv", "--budget", "inf"], 1),
     (["discover", "--input", "{tmp}/x.csv", "--algo", "greedy", "--budget", "0"], 1),
+    (["discover", "--input", "{tmp}/x.csv", "--json", "{tmp}/missing/r.json"], 2),
+    (["discover", "--input", "{tmp}/x.csv", "--algo", "greedy", "--json", "{tmp}"], 2),
+    (["score", "--input", "{tmp}/x.csv", "--set", "a,b",
+      "--json", "{tmp}/missing/r.json"], 2),
+    (["chance", "--d", "3", "--n", "20", "--json", "{tmp}/missing/r.json"], 2),
+    (["regret", "--json", "{tmp}/missing/r.json"], 2),
 ])
 def test_error_contract(argv, code, tmp_path, capsys):
-    """Bad values exit 1 at parse time and unreadable input exits 2, each
-    with a one-line error and no escaping exception."""
+    """Bad values exit 1 at parse time, and unreadable input or an output
+    path that cannot be written exits 2 before any work: each with a
+    one-line error, nothing on stdout and no escaping exception."""
+    (tmp_path / "x.csv").write_text("a,b\n0,1\n1,0\n1,1\n", encoding="utf-8")
     argv = [tok.replace("{tmp}", str(tmp_path)) for tok in argv]
     try:
         rc = main(argv)
     except SystemExit as exc:
         rc = exc.code
     assert rc == code
-    err = capsys.readouterr().err.splitlines()
-    assert "error:" in err[-1]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err.splitlines()[-1]
 
 
 class TestScore:

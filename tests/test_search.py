@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from corrsets import search
 from corrsets.data import EncodedDataset
-from corrsets.estimators import SubsetScore, score_subset
+from corrsets.estimators import RowPartition, SubsetScore, refine_partition, score_subset
 from corrsets.search import (
     SearchContext,
     SearchNode,
@@ -408,6 +409,10 @@ class TestRefinementCounts:
         (_, stats), greedy_refines = refinements_of(greedy, ds, k)
         assert greedy_refines == (ds.d - 1) + stats.nodes_explored
         assert refinements_of(exhaustive_topk, ds, k)[1] == 2**ds.d - 1
+        # bnb keeps each queued child's partition, so the root is its only
+        # explored node that is not refined from a parent
+        (_, stats), bnb_refines = refinements_of(branch_and_bound, ds, k)
+        assert bnb_refines == stats.nodes_explored - 1
 
     @given(ds=small_tables(), k=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -417,3 +422,49 @@ class TestRefinementCounts:
     @pytest.mark.parametrize("d", [3, 6, 9])
     def test_seeded_tables(self, d):
         self.check(random_dataset(np.random.default_rng(31 + d), d=d, n=60), 3)
+
+
+class TestPartitionStore:
+    """bnb carries each queued child's partition, packed narrow, up to a
+    byte cap, and rebuilds it from the root past the cap."""
+
+    @pytest.mark.parametrize("cap", [0, 300])
+    @pytest.mark.parametrize("d", [3, 6, 9])
+    def test_cap_changes_only_refinements(self, d, cap, monkeypatch):
+        ds = random_dataset(np.random.default_rng(47 + d), d=d, n=60)
+        (store, stats), stored_refines = refinements_of(branch_and_bound, ds, 3)
+        popped = []
+        children = search._children
+        monkeypatch.setattr(search, "PARTITION_STORE_BYTES", cap)
+        monkeypatch.setattr(search, "_children", lambda ctx, node, part: (
+            popped.append(node.depth) or children(ctx, node, part)))
+        (capped, capped_stats), capped_refines = refinements_of(branch_and_bound, ds, 3)
+        assert capped.results == store.results
+        assert (dataclasses.replace(capped_stats, wall_time=0.0)
+                == dataclasses.replace(stats, wall_time=0.0))
+        # with no store every popped node is rebuilt from the root
+        rebuilds = stats.nodes_explored - 1 + sum(popped)
+        if cap == 0:
+            assert capped_refines == rebuilds
+        else:
+            assert stored_refines <= capped_refines <= rebuilds
+
+    @pytest.mark.parametrize("cell_count, dtype", [
+        (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
+    ])
+    def test_pack_widen_round_trip(self, cell_count, dtype):
+        rng = np.random.default_rng(cell_count)
+        # every cell occupied, the last one included, in shuffled row order
+        cells = rng.permutation(np.concatenate([
+            np.arange(cell_count), rng.integers(0, cell_count, 1000)]))
+        part = RowPartition(cells, np.bincount(cells), cell_count)
+        packed = search._pack(part)
+        assert packed.cell_of_row.dtype == dtype
+        widened = search._widen(packed)
+        assert widened.cell_of_row.dtype == np.int64
+        assert np.array_equal(widened.cell_of_row, part.cell_of_row)
+        attr = SimpleNamespace(codes=rng.integers(0, 3, cells.shape[0]), domain_size=3)
+        want, got = refine_partition(part, attr), refine_partition(widened, attr)
+        assert got.cell_count == want.cell_count
+        assert np.array_equal(got.cell_of_row, want.cell_of_row)
+        assert np.array_equal(got.cell_counts, want.cell_counts)
