@@ -13,6 +13,7 @@ and are byte-stable for a fixed command and seed, except for the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .data import DataError, encode, parse_csv
-from .estimators import ESTIMATORS, ORACLE_MAX_MEMBERS, score_subset
-from .search import SearchStats, TopKStore, branch_and_bound, greedy
+from .estimators import ESTIMATORS, score_subset
+from .search import TopKStore, branch_and_bound, greedy
 from .synth import (
     MAX_ATTEMPTS,
     N_INDEPENDENT,
@@ -209,17 +210,6 @@ def _result_records(dataset, store: TopKStore) -> list[dict]:
     return records
 
 
-def _stats_dict(stats: SearchStats) -> dict:
-    return {
-        "nodes_explored": stats.nodes_explored,
-        "nodes_pruned": stats.nodes_pruned,
-        "prune_percent": stats.prune_percent,
-        "max_depth_reached": stats.max_depth_reached,
-        "solution_depth": stats.solution_depth,
-        "completed": stats.completed,
-    }
-
-
 def _check_outputs(json_path, out_dir) -> None:
     """Refuse output paths that cannot be written. Asked before any input
     is read or any work is done, so a bad path costs nothing."""
@@ -257,7 +247,8 @@ def cmd_discover(args) -> int:
         },
         "dataset": _dataset_summary(dataset),
         "results": records,
-        "stats": _stats_dict(stats),
+        "stats": {key: value for key, value in dataclasses.asdict(stats).items()
+                  if key != "wall_time"},
         "timing": {"wall_s": stats.wall_time},
     }
     print(f"dataset: {dataset.n} rows, {dataset.d} attributes")
@@ -292,13 +283,12 @@ def cmd_score(args) -> int:
         raise DataError("need at least 2 attribute names in --set")
     if len(set(members)) != len(members):
         raise DataError("attribute names in --set must be distinct")
-    if args.estimator in ("exact", "upper") and len(members) > ORACLE_MAX_MEMBERS:
-        print(
-            f"corrsets score: error: --estimator {args.estimator} supports "
-            f"at most {ORACLE_MAX_MEMBERS} attributes", file=sys.stderr,
-        )
+    try:
+        score = score_subset(dataset, members, estimator=args.estimator)
+    except ValueError as exc:
+        print(f"corrsets score: error: --estimator {args.estimator}: {exc}",
+              file=sys.stderr)
         return EXIT_USAGE
-    score = score_subset(dataset, members, estimator=args.estimator)
     fields = {
         "members": [dataset.attributes[i].name for i in score.members],
         "estimator": args.estimator,
@@ -432,6 +422,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "discover" and args.algo != "bnb" and args.budget is not None:
         parser.error("--budget applies only to --algo bnb")
+    if args.json == "":
+        parser.error("--json needs a file path")
     handlers = {
         "discover": cmd_discover,
         "score": cmd_score,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "entropy",
     "xlog2x_table",
     "refine_partition",
+    "order_attributes",
     "expected_mi_permutation",
     "m0_upper",
     "m0_relaxed",
@@ -156,13 +157,15 @@ def refine_partition(parent: RowPartition, attr) -> RowPartition:
     """Split every cell of ``parent`` by the codes of one more attribute.
 
     ``attr`` needs ``codes`` (dense integer array of length n) and
-    ``domain_size``. Output cells are dense and ordered by (parent cell,
-    code), which keeps repeated refinement deterministic.
+    ``domain_size``. ``parent.cell_of_row`` may have any integer dtype: keys
+    are computed in int64. Output cells are dense and ordered by (parent
+    cell, code), which keeps repeated refinement deterministic.
     """
     domain = int(attr.domain_size)
     if domain <= 1:
         return parent
-    keys = parent.cell_of_row * domain + attr.codes
+    keys = np.multiply(parent.cell_of_row, domain, dtype=np.int64)
+    keys += attr.codes
     inverse, counts = _dense(keys, parent.cell_count * domain)
     return RowPartition(
         cell_of_row=inverse, cell_counts=counts, cell_count=int(counts.shape[0])
@@ -267,8 +270,15 @@ def correction_relaxed_bits(domain_sizes, n: int) -> float:
     return total
 
 
+def order_attributes(dataset) -> list[int]:
+    """Attribute indices sorted by decreasing entropy, original index tiebreak."""
+    return sorted(
+        range(dataset.d), key=lambda i: (-dataset.attributes[i].entropy, i)
+    )
+
+
 def _ordered_members(dataset, members) -> list[int]:
-    """Validate and canonicalize member indices: decreasing entropy, index tiebreak."""
+    """Validate member indices and put them in :func:`order_attributes` order."""
     idx = list(members)
     if len(set(idx)) != len(idx):
         raise ValueError("member indices must be distinct")
@@ -278,7 +288,8 @@ def _ordered_members(dataset, members) -> list[int]:
     for i in idx:
         if not 0 <= i < d:
             raise ValueError(f"attribute index {i} out of range")
-    return sorted(idx, key=lambda i: (-dataset.attributes[i].entropy, i))
+    chosen = set(idx)
+    return [i for i in order_attributes(dataset) if i in chosen]
 
 
 def _max_correction_bits(dataset, ordered, term) -> float:
@@ -289,8 +300,6 @@ def _max_correction_bits(dataset, ordered, term) -> float:
     step values are memoized on the prefix *set*, which collapses the m!
     orderings to the distinct (prefix, next) pairs.
     """
-    if len(ordered) > ORACLE_MAX_MEMBERS:
-        raise ValueError(f"oracle correction limited to {ORACLE_MAX_MEMBERS} members")
     n = dataset.n
     parts: dict[frozenset, RowPartition] = {frozenset(): RowPartition.trivial(n)}
     terms: dict[tuple[frozenset, int], float] = {}
@@ -394,16 +403,17 @@ def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
     ordered = _ordered_members(dataset, members)
+    if estimator in ("upper", "exact") and len(ordered) > ORACLE_MAX_MEMBERS:
+        raise ValueError(f"oracle correction limited to {ORACLE_MAX_MEMBERS} members")
     n = dataset.n
-    part = RowPartition.trivial(n)
+    attrs = [dataset.attributes[i] for i in ordered]
+    part = reduce(refine_partition, attrs, RowPartition.trivial(n))
     entropy_sum = 0.0
-    for i in ordered:
-        attr = dataset.attributes[i]
-        part = refine_partition(part, attr)
+    for attr in attrs:  # left to right, as the incremental search adds them
         entropy_sum += attr.entropy
-    entropy_max = dataset.attributes[ordered[0]].entropy
+    entropy_max = attrs[0].entropy
     joint = entropy(part.cell_counts, n)
-    sizes = [dataset.attributes[i].domain_size for i in ordered]
+    sizes = [attr.domain_size for attr in attrs]
     w_norm = entropy_sum - entropy_max
 
     if estimator == "plugin" or w_norm <= 0.0:

@@ -25,6 +25,7 @@ import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .estimators import (
     SubsetScore,
     assemble_score,
     entropy,
+    order_attributes,
     refine_partition,
 )
 
@@ -41,7 +43,6 @@ __all__ = [
     "TopKStore",
     "SearchStats",
     "order_attributes",
-    "expand",
     "bound_mon",
     "bound_ref",
     "branch_and_bound",
@@ -49,13 +50,6 @@ __all__ = [
     "walk",
     "exhaustive_topk",
 ]
-
-
-def order_attributes(dataset) -> list[int]:
-    """Attribute indices sorted by decreasing entropy, original index tiebreak."""
-    return sorted(
-        range(dataset.d), key=lambda i: (-dataset.attributes[i].entropy, i)
-    )
 
 
 class SearchContext:
@@ -81,22 +75,18 @@ class SearchContext:
         return tuple(self.order[r] for r in ranks)
 
     def partition_of(self, ranks) -> RowPartition:
-        part = RowPartition.trivial(self.n)
-        for r in ranks:
-            part = refine_partition(part, self.attrs[r])
-        return part
+        return reduce(refine_partition, (self.attrs[r] for r in ranks),
+                      RowPartition.trivial(self.n))
 
 
 @dataclass(eq=False)
 class SearchNode:
     """One enumerated subset: members are positions in the entropy-sorted
     order (strictly increasing), so every child is a low-entropy extension
-    of its parent. ``potential`` is the value of the active bounding
-    function once evaluated; singletons and the root have potential 1."""
+    of its parent."""
 
     members: tuple[int, ...]
     score: SubsetScore
-    potential: float | None = None
 
     @property
     def depth(self) -> int:
@@ -166,43 +156,26 @@ class SearchStats:
         return self
 
 
-_ROOT = SearchNode((), SubsetScore((), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 1.0)
+_ROOT = SearchNode((), SubsetScore((), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def _children(ctx: SearchContext, node: SearchNode,
               part: RowPartition) -> Iterator[tuple[SearchNode, RowPartition]]:
     """Every child of ``node``, one per rank above its last member, scored
     from ``part`` (the node's partition) and yielded with its own
-    partition. Singletons score 0 and have potential 1."""
+    partition. A singleton's normalizer is 0, so it scores 0."""
     for rank in range(node.last_index + 1, ctx.d):
         attr = ctx.attrs[rank]
         child_part = refine_partition(part, attr)
         members = node.members + (rank,)
-        names = ctx.original_members(members)
-        if node.members:
-            score = assemble_score(
-                names, node.score.entropy_sum + attr.entropy,
-                node.score.entropy_max, entropy(child_part.cell_counts, ctx.n),
-                [ctx.domain_sizes[r] for r in members], ctx.n,
-            )
-            yield SearchNode(members, score), child_part
-        else:
-            h = attr.entropy
-            score = SubsetScore(names, h, h, h, 0.0, 0.0, 0.0, 0.0, 0.0)
-            yield SearchNode(members, score, 1.0), child_part
+        score = assemble_score(
+            ctx.original_members(members), node.score.entropy_sum + attr.entropy,
+            max(node.score.entropy_max, attr.entropy),
+            entropy(child_part.cell_counts, ctx.n),
+            [ctx.domain_sizes[r] for r in members], ctx.n,
+        )
+        yield SearchNode(members, score), child_part
         del child_part  # not held while the next child is refined
-
-
-def expand(node: SearchNode, ctx: SearchContext, stop=lambda: False) -> list[SearchNode]:
-    """All children of a node, scored incrementally from its partition,
-    which is rebuilt from the root. Scoring ends early once ``stop()``,
-    asked after each child, returns True."""
-    children: list[SearchNode] = []
-    for child, _ in _children(ctx, node, ctx.partition_of(node.members)):
-        children.append(child)
-        if stop():
-            break
-    return children
 
 
 def bound_mon(node: SearchNode) -> float:
@@ -235,15 +208,9 @@ PARTITION_STORE_BYTES = 64 * 2**20
 
 def _pack(part: RowPartition) -> RowPartition:
     """``part`` with ``cell_of_row`` in the narrowest unsigned dtype that
-    holds its largest cell index. Refine only its :func:`_widen` copy: keys
-    computed from a narrow array would wrap."""
+    holds its largest cell index; :func:`refine_partition` takes it as is."""
     return replace(part, cell_of_row=part.cell_of_row.astype(
         np.min_scalar_type(part.cell_count - 1)))
-
-
-def _widen(packed: RowPartition) -> RowPartition:
-    """The int64 partition that :func:`_pack` narrowed."""
-    return replace(packed, cell_of_row=packed.cell_of_row.astype(np.int64))
 
 
 def _nbytes(part: RowPartition) -> int:
@@ -287,17 +254,16 @@ def branch_and_bound(
         return not stats.completed
 
     while heap and not out_of_time():
-        neg_pot, _, node, packed = heap[0]
+        neg_pot, _, node, part = heap[0]
         if not alpha * -neg_pot > store.threshold():
             # best-first: nothing left in the queue can qualify
             stats.nodes_pruned += len(heap)
             break
         heapq.heappop(heap)
-        if packed is None:
+        if part is None:
             part = ctx.partition_of(node.members)
         else:
-            stored -= _nbytes(packed)
-            part = _widen(packed)
+            stored -= _nbytes(part)
         # every child is offered before any is pushed; the budget is checked
         # after every child, so one wide expansion cannot overrun it
         children = []
@@ -311,15 +277,15 @@ def branch_and_bound(
                 break
         for child, packed in children:
             # both bounds are 1 below depth 2, and bound_ref <= bound_mon
-            child.potential = min(bound_mon(child), bound_ref(child, ctx))
-            if not alpha * child.potential > store.threshold():
+            potential = min(bound_mon(child), bound_ref(child, ctx))
+            if not alpha * potential > store.threshold():
                 stats.nodes_pruned += 1
                 continue
             if stored + _nbytes(packed) > PARTITION_STORE_BYTES:
                 packed = None  # rebuilt from the root when popped
             else:
                 stored += _nbytes(packed)
-            heapq.heappush(heap, (-child.potential, child.members, child, packed))
+            heapq.heappush(heap, (-potential, child.members, child, packed))
     return store, stats.finish(ctx.d, store, started)
 
 

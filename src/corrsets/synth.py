@@ -241,7 +241,7 @@ def score_samples(spec: SyntheticSpec, cells, estimators):
     """
     dims = spec.full_table.dims
     m, rows = len(dims), len(cells)
-    subsets = [s for k in range(2, m + 1) for s in itertools.combinations(range(m), k)]
+    subsets = [s for s in spec.population if len(s) >= 2]
     values = {}
     if {"plugin", "relaxed"} & set(estimators):
         n = np.array([len(c) for c in cells])
@@ -332,14 +332,15 @@ def run_regret(
     samples = {est: np.zeros((len(n_grid), trials)) for est in estimators}
     pairs = [(ni, j) for ni in range(len(n_grid)) for j in range(trials)]
     batch = max(1, _BATCH_CELLS // spec.full_table.probs.size)
+    # in the subset order of score_samples
+    population = np.array([w for s, w in spec.population.items() if len(s) >= 2])
     for start in range(0, len(pairs), batch):
         cells = [
             spec.sample_cells(n_grid[ni], np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(ni, j))))
             for ni, j in pairs[start:start + batch]
         ]
-        subsets, values = score_samples(spec, cells, estimators)
-        population = np.array([spec.population[s] for s in subsets])
+        _, values = score_samples(spec, cells, estimators)
         for est in estimators:
             # argmax takes the first maximum: ties go to the smallest, then
             # the lexicographically smallest subset

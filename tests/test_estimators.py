@@ -391,6 +391,12 @@ class TestOracleCorrections:
         ds = random_dataset(rng, d=9, n=20, dependent=False)
         with pytest.raises(ValueError, match="8"):
             score_subset(ds, list(range(9)), estimator="exact")
+        # one varying column: the normalizer is 0, and the cap still holds
+        cols = [np.arange(20) % 3] + [np.zeros(20, dtype=int)] * 8
+        flat = EncodedDataset.from_codes([f"A{j}" for j in range(9)], cols, 20)
+        for estimator in ("upper", "exact"):
+            with pytest.raises(ValueError, match="8"):
+                score_subset(flat, list(range(9)), estimator=estimator)
 
 
 class TestScoreSubset:

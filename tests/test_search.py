@@ -19,7 +19,6 @@ from corrsets.search import (
     bound_ref,
     branch_and_bound,
     exhaustive_topk,
-    expand,
     greedy,
     order_attributes,
     walk,
@@ -51,32 +50,37 @@ class TestOrderAttributes:
         assert entropies == sorted(entropies, reverse=True)
 
 
+def children_of(node, ctx):
+    """The scored children of a node, refined from its partition."""
+    part = ctx.partition_of(node.members)
+    return [child for child, _ in search._children(ctx, node, part)]
+
+
 class TestExpand:
     def test_root_yields_singletons_with_potential_one(self):
         ds = dataset_with_entropies([1, 2, 3])
         ctx = SearchContext(ds)
-        root = SearchNode(members=(), score=score_zero(), potential=1.0)
-        children = expand(root, ctx)
+        children = children_of(SearchNode(members=(), score=score_zero()), ctx)
         assert [c.members for c in children] == [(0,), (1,), (2,)]
-        assert all(c.potential == 1.0 for c in children)
+        assert all(bound_mon(c) == bound_ref(c, ctx) == 1.0 for c in children)
         assert all(c.score.corrected_score == 0.0 for c in children)
 
     def test_frontier_node_has_no_children(self):
         ds = dataset_with_entropies([1, 2, 3])
         ctx = SearchContext(ds)
-        node = expand(SearchNode((), score_zero(), 1.0), ctx)[-1]
+        node = children_of(SearchNode((), score_zero()), ctx)[-1]
         assert node.members == (2,)
-        assert expand(node, ctx) == []
+        assert children_of(node, ctx) == []
 
     def test_incremental_equals_scratch(self):
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, d=7, n=80)
         ctx = SearchContext(ds)
-        frontier = [SearchNode((), score_zero(), 1.0)]
+        frontier = [SearchNode((), score_zero())]
         checked = 0
         while frontier:
             node = frontier.pop()
-            for child in expand(node, ctx):
+            for child in children_of(node, ctx):
                 if child.depth >= 2:
                     scratch = score_subset(ds, child.score.members)
                     assert child.score == scratch  # bit-identical
@@ -94,10 +98,10 @@ def all_nodes(ds):
     """Every subset as a search node, by exhaustive expansion."""
     ctx = SearchContext(ds)
     out = {}
-    frontier = [SearchNode((), score_zero(), 1.0)]
+    frontier = [SearchNode((), score_zero())]
     while frontier:
         node = frontier.pop()
-        for child in expand(node, ctx):
+        for child in children_of(node, ctx):
             out[child.members] = child
             frontier.append(child)
     return ctx, out
@@ -453,6 +457,7 @@ class TestPartitionStore:
         (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
     ])
     def test_pack_widen_round_trip(self, cell_count, dtype):
+        # a packed partition refines exactly as the int64 one it came from
         rng = np.random.default_rng(cell_count)
         # every cell occupied, the last one included, in shuffled row order
         cells = rng.permutation(np.concatenate([
@@ -460,11 +465,29 @@ class TestPartitionStore:
         part = RowPartition(cells, np.bincount(cells), cell_count)
         packed = search._pack(part)
         assert packed.cell_of_row.dtype == dtype
-        widened = search._widen(packed)
-        assert widened.cell_of_row.dtype == np.int64
-        assert np.array_equal(widened.cell_of_row, part.cell_of_row)
+        assert np.array_equal(packed.cell_of_row, part.cell_of_row)
         attr = SimpleNamespace(codes=rng.integers(0, 3, cells.shape[0]), domain_size=3)
-        want, got = refine_partition(part, attr), refine_partition(widened, attr)
+        want, got = refine_partition(part, attr), refine_partition(packed, attr)
+        assert got.cell_of_row.dtype == np.int64
         assert got.cell_count == want.cell_count
         assert np.array_equal(got.cell_of_row, want.cell_of_row)
         assert np.array_equal(got.cell_counts, want.cell_counts)
+
+
+class TestTicTacToeSearches:
+    """Exact top-9 answers and stats of both searches on tic-tac-toe, so a
+    refactor that changes what either search visits shows here."""
+
+    def test_branch_and_bound(self, ttt):
+        store, stats = branch_and_bound(ttt, k=9)
+        assert [score.members for _, _, score in store.results] == [
+            (0, 8, 4, 9), (2, 6, 4, 9), (4, 9), (1, 3, 8), (1, 5, 6),
+            (3, 7, 2), (5, 7, 0), (1, 7, 4, 9), (3, 5, 4, 9),
+        ]
+        assert (stats.nodes_explored, stats.nodes_pruned, stats.max_depth_reached,
+                stats.solution_depth, stats.completed) == (915, 93, 8, 4, True)
+
+    def test_greedy(self, ttt):
+        _, stats = greedy(ttt, k=9)
+        assert (stats.nodes_explored, stats.nodes_pruned, stats.max_depth_reached,
+                stats.solution_depth) == (45, 0, 2, 2)
