@@ -23,10 +23,9 @@ the choice of base.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -48,7 +47,7 @@ __all__ = [
 
 ESTIMATORS = ("plugin", "relaxed", "upper", "exact")
 
-ORACLE_MAX_MEMBERS = 8  # factorial enumeration cap for exact/upper corrections
+ORACLE_MAX_MEMBERS = 8  # exact/upper hold the partitions of up to 2^8 prefix sets
 
 _LOG2 = math.log(2.0)
 
@@ -195,8 +194,10 @@ def expected_mi_permutation(row_marginals, col_marginals, n: int) -> float:
     are evaluated in log space from a factorial table, so the computation is
     overflow-free for large n.
     """
-    a = np.asarray(row_marginals, dtype=np.int64)
-    b = np.asarray(col_marginals, dtype=np.int64)
+    a, b = np.asarray(row_marginals), np.asarray(col_marginals)
+    if any(not np.all(np.isfinite(m) & (m >= 0)) or np.any(m % 1) for m in (a, b)):
+        raise ValueError("marginal counts must be non-negative whole numbers")
+    a, b = a.astype(np.int64), b.astype(np.int64)
     if a.sum() != n or b.sum() != n:
         raise ValueError("marginal sums must both equal n")
     lf = _log_factorials(n)
@@ -292,41 +293,35 @@ def _ordered_members(dataset, members) -> list[int]:
     return [i for i in order_attributes(dataset) if i in chosen]
 
 
-def _max_correction_bits(dataset, ordered, term) -> float:
-    """Maximize a summed per-step correction over all orderings of the
-    members of ``ordered``, an output of :func:`_ordered_members`.
+def _max_correction_bits(dataset, estimator: str):
+    """The ``upper`` or ``exact`` correction bits of ``dataset`` as a memoised
+    function of a frozenset S of attribute indices: the best left-to-right
+    sum of steps over the orderings of S. It recurses over prefix sets,
+    best(S) = max over x in S of best(S - x) + step(S - x, x), which float
+    monotonicity makes bit-equal to the maximum of all |S|! sums. It holds
+    at most 2^m - 2 prefix partitions."""
+    n, attrs = dataset.n, dataset.attributes
 
-    ``term(prefix_partition, attr)`` supplies the step value. Partitions and
-    step values are memoized on the prefix *set*, which collapses the m!
-    orderings to the distinct (prefix, next) pairs.
-    """
-    n = dataset.n
-    parts: dict[frozenset, RowPartition] = {frozenset(): RowPartition.trivial(n)}
-    terms: dict[tuple[frozenset, int], float] = {}
+    def step(part, attr):
+        if estimator == "upper":
+            return m0_upper(part.cell_count, attr.domain_size, n)
+        return expected_mi_permutation(
+            part.cell_counts, np.bincount(attr.codes, minlength=attr.domain_size), n)
 
-    def partition_of(prefix: frozenset) -> RowPartition:
-        part = parts.get(prefix)
-        if part is None:
-            smaller = min(prefix)
-            part = refine_partition(
-                partition_of(prefix - {smaller}), dataset.attributes[smaller]
-            )
-            parts[prefix] = part
-        return part
+    @cache
+    def partition(prefix: frozenset) -> RowPartition:
+        if not prefix:
+            return RowPartition.trivial(n)
+        smaller = min(prefix)
+        return refine_partition(partition(prefix - {smaller}), attrs[smaller])
 
-    best = -math.inf
-    for perm in itertools.permutations(ordered):
-        total = 0.0
-        prefix = frozenset({perm[0]})
-        for nxt in perm[1:]:
-            key = (prefix, nxt)
-            value = terms.get(key)
-            if value is None:
-                value = term(partition_of(prefix), dataset.attributes[nxt])
-                terms[key] = value
-            total += value
-            prefix = prefix | {nxt}
-        best = max(best, total)
+    @cache
+    def best(members: frozenset) -> float:
+        if len(members) == 1:
+            return 0.0
+        return max(best(members - {x}) + step(partition(members - {x}), attrs[x])
+                   for x in members)
+
     return best
 
 
@@ -420,13 +415,8 @@ def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
         bits = 0.0
     elif estimator == "relaxed":
         bits = correction_relaxed_bits(sizes, n)
-    elif estimator == "upper":
-        bits = _max_correction_bits(dataset, ordered, lambda part, attr: m0_upper(
-            part.cell_count, attr.domain_size, n))
     else:
-        bits = _max_correction_bits(
-            dataset, ordered, lambda part, attr: expected_mi_permutation(
-                part.cell_counts, np.bincount(attr.codes, minlength=attr.domain_size), n))
+        bits = _max_correction_bits(dataset, estimator)(frozenset(ordered))
     return assemble_score(
         tuple(ordered), entropy_sum, entropy_max, joint, sizes, n,
         correction_bits=bits,

@@ -24,10 +24,10 @@ from .data import EncodedDataset
 from .estimators import (
     ORACLE_MAX_MEMBERS,
     RowPartition,
+    _max_correction_bits,
     correction_relaxed_bits,
     entropy,
     refine_partition,
-    score_subset,
 )
 
 __all__ = [
@@ -235,15 +235,16 @@ def score_samples(spec: SyntheticSpec, cells, estimators):
     ``cells`` holds one array of flat cell indices per sample, as from
     :meth:`SyntheticSpec.sample_cells`. Returns the subsets in (size,
     lexicographic) order and, per estimator, a (samples, subsets) array of
-    values. ``plugin`` and ``relaxed`` come from one count tensor and are
-    bit-identical to :func:`~corrsets.estimators.score_subset` on each
-    sample's dataset; ``upper`` and ``exact`` call it.
+    values, bit-identical to :func:`~corrsets.estimators.score_subset` on
+    each sample's dataset. Entropies come from one count tensor. ``upper``
+    and ``exact`` read every subset's correction from one prefix-set
+    program per sample.
     """
     dims = spec.full_table.dims
     m, rows = len(dims), len(cells)
     subsets = [s for s in spec.population if len(s) >= 2]
     values = {}
-    if {"plugin", "relaxed"} & set(estimators):
+    if set(estimators) - {"population"}:
         n = np.array([len(c) for c in cells])
         # samples run along the last axis, so every marginal sum adds long
         # contiguous runs
@@ -278,29 +279,31 @@ def score_samples(spec: SyntheticSpec, cells, estimators):
             (int(n.max()) + 1,) + (int(sizes.max()) + 1,) * m,
         )
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        bits = np.array([
+        bits = {"plugin": 0.0, "relaxed": np.array([
             _relaxed_bits(tuple(sizes[i][sizes[i] > 0].tolist()), int(n[i // len(subsets)]))
             for i in first
-        ])[inverse].reshape(rows, len(subsets))
+        ])[inverse].reshape(rows, len(subsets))}
+        oracles = [est for est in ("upper", "exact") if est in estimators]
+        datasets = [spec.dataset_of(c) for c in cells] if oracles else []
+        for est in oracles:
+            # a zero normalizer takes no correction, as in score_subset
+            bits[est] = np.array([
+                [best(frozenset(s)) if w > 0.0 else 0.0 for s, w in zip(subsets, row)]
+                for best, row in zip((_max_correction_bits(ds, est) for ds in datasets), norm)
+            ])
         with np.errstate(divide="ignore", invalid="ignore"):
             plugin = np.minimum(np.maximum(total / norm, 0.0), 1.0)
-            values["plugin"] = np.where(norm > 0.0, plugin, 0.0)
-            values["relaxed"] = np.where(norm > 0.0, plugin - bits / norm, 0.0)
+            for est in bits.keys() & set(estimators):
+                values[est] = np.where(norm > 0.0, plugin - bits[est] / norm, 0.0)
     if "population" in estimators:
         pop = np.array([spec.population[s] for s in subsets])
         values["population"] = np.broadcast_to(pop, (rows, len(subsets)))
-    for est in {"upper", "exact"} & set(estimators):
-        values[est] = np.array([
-            [score_subset(spec.dataset_of(c), s, estimator=est).corrected_score
-             for s in subsets]
-            for c in cells
-        ])
     return subsets, {est: values[est] for est in estimators}
 
 
 def check_regret_size(num_vars: int, estimators) -> None:
     """Refuse a regret run over more variables than it can score; the
-    oracle corrections enumerate orderings, so they allow fewer."""
+    oracle corrections hold a partition per prefix set, so they allow fewer."""
     limit = ORACLE_MAX_MEMBERS if {"upper", "exact"} & set(estimators) else REGRET_MAX_VARS
     if num_vars > limit:
         raise ValueError(f"estimators {', '.join(estimators)} score at most "

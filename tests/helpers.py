@@ -96,6 +96,26 @@ def oracle_relaxed_correction_max(domain_sizes, n: int) -> float:
     return best
 
 
+def oracle_ordering_max(dataset: EncodedDataset, members, step) -> float:
+    """Brute-force max over all orderings of ``members`` of the left-to-right
+    sum of ``step(prefix_cell_counts, next_attribute)``. A prefix's joint
+    cell counts are recounted from row tuples, once per prefix set, and
+    each (prefix set, next) step is evaluated once."""
+    cols = [a.codes.tolist() for a in dataset.attributes]
+    steps: dict[tuple[frozenset, int], float] = {}
+    best = -math.inf
+    for perm in itertools.permutations(members):
+        total = 0.0
+        for k in range(1, len(perm)):
+            key = (frozenset(perm[:k]), perm[k])
+            if key not in steps:
+                counts = Counter(zip(*(cols[i] for i in sorted(key[0]))))
+                steps[key] = step(list(counts.values()), dataset.attributes[perm[k]])
+            total += steps[key]
+        best = max(best, total)
+    return best
+
+
 def oracle_table_entropy(probs, dims, axes) -> float:
     """Entropy in bits of the marginal over ``axes`` of a flat C-order
     joint probability table, built as a dict over explicit cell tuples and

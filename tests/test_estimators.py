@@ -1,4 +1,3 @@
-import itertools
 import math
 from types import SimpleNamespace
 
@@ -23,6 +22,7 @@ from corrsets.estimators import (
 from corrsets.search import branch_and_bound
 from helpers import (
     chain_mi_sum,
+    oracle_ordering_max,
     oracle_permutation_mean_mi,
     oracle_relaxed_correction_max,
     random_dataset,
@@ -249,8 +249,15 @@ class TestExpectedMiPermutation:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_marginal_mismatch(self):
-        with pytest.raises(ValueError, match="marginal"):
-            expected_mi_permutation([2, 2], [3, 2], 4)
+        for rows, cols in [
+            ([2, 2], [3, 2]),
+            ([2, 2], [3, 2, -1]),  # sums to n with a negative count
+            ([2.5, 2.5], [2, 2]),  # not whole numbers
+            ([5, -1], [4]),
+            ([math.inf, 4], [4]),
+        ]:
+            with pytest.raises(ValueError, match="marginal"):
+                expected_mi_permutation(rows, cols, 4)
 
     def test_large_n_no_overflow(self):
         value = expected_mi_permutation([500_000, 500_000], [999_999, 1], 1_000_000)
@@ -332,42 +339,32 @@ class TestOracleCorrections:
         want = expected_mi_permutation(counts0, counts1, 40) / w_norm
         assert got_e == pytest.approx(want, abs=1e-12)
 
-    def test_three_attributes_equal_bruteforce(self):
+    def test_ordering_max_equals_bruteforce(self, ttt):
+        # m0_upper reads only the prefix's cell count, which no ordering
+        # changes, so upper equals the brute-force maximum bit for bit, up
+        # to the 8-member cap; the oracle lists exact's cell counts in
+        # another order, so exact agrees within 1e-12
+        def upper(n):
+            return lambda counts, attr: m0_upper(len(counts), attr.domain_size, n)
+
+        def exact(n):
+            return lambda counts, attr: expected_mi_permutation(
+                counts, np.bincount(attr.codes), n)
+
         rng = np.random.default_rng(4)
-        ds = random_dataset(rng, d=3, n=30)
-        n = ds.n
-        entropies = [a.entropy for a in ds.attributes]
-        w_norm = sum(entropies) - max(entropies)
-
-        def perm_sum(perm, term):
-            total = 0.0
-            part = refine_partition(RowPartition.trivial(n), ds.attributes[perm[0]])
-            for nxt in perm[1:]:
-                total += term(part, ds.attributes[nxt])
-                part = refine_partition(part, ds.attributes[nxt])
-            return total
-
-        brute_exact = max(
-            perm_sum(
-                p,
-                lambda part, attr: expected_mi_permutation(
-                    part.cell_counts, np.bincount(attr.codes), n
-                ),
-            )
-            for p in itertools.permutations(range(3))
-        )
-        brute_upper = max(
-            perm_sum(
-                p, lambda part, attr: m0_upper(part.cell_count, attr.domain_size, n)
-            )
-            for p in itertools.permutations(range(3))
-        )
-        assert score_subset(ds, [0, 1, 2], estimator="exact").correction == pytest.approx(
-            brute_exact / w_norm, abs=1e-12
-        )
-        assert score_subset(ds, [0, 1, 2], estimator="upper").correction == pytest.approx(
-            brute_upper / w_norm, abs=1e-12
-        )
+        for d in range(2, 8):
+            for _ in range(5):
+                ds = random_dataset(rng, d=d, n=int(rng.integers(10, 60)))
+                got = score_subset(ds, range(d), estimator="upper")
+                assert got.normalizer > 0.0
+                brute = oracle_ordering_max(ds, range(d), upper(ds.n))
+                assert got.correction == brute / got.normalizer
+                if d <= 4:
+                    got = score_subset(ds, range(d), estimator="exact")
+                    brute = oracle_ordering_max(ds, range(d), exact(ds.n))
+                    assert got.correction == pytest.approx(brute / got.normalizer, abs=1e-12)
+        got = score_subset(ttt, range(8), estimator="upper")
+        assert got.correction == oracle_ordering_max(ttt, range(8), upper(ttt.n)) / got.normalizer
 
     def test_dominance_chain_sample(self):
         rng = np.random.default_rng(9)

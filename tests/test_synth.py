@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corrsets import synth
+from corrsets.estimators import score_subset
 from corrsets.search import walk
 from corrsets.synth import (
     REGRET_ESTIMATORS,
@@ -307,6 +308,8 @@ def assert_batch_matches_walk(spec, cells, estimators=("plugin", "relaxed", "pop
             i = column[tuple(sorted(node.score.members))]
             assert values["plugin"][row, i] == node.score.plugin_score
             assert values["relaxed"][row, i] == node.score.corrected_score
+            for est in {"upper", "exact"} & set(estimators):
+                assert values[est][row, i] == score_subset(ds, node.score.members, est).corrected_score
             seen += 1
         assert seen == len(subsets)
         winners = {est: subsets[values[est][row].argmax()] for est in estimators}
@@ -346,6 +349,12 @@ class TestScoreSamples:
         cells = [spec.sample_cells(n, rng) for n in (10, 13, 30)]
         # exact is left to TestEmpiricalArgmax: it costs seconds per sample here
         assert_batch_matches_walk(spec, cells, ("plugin", "relaxed", "population", "upper"))
+
+    def test_exact_matches_score_subset(self):
+        spec = full_band_spec(2, 0)
+        rng = np.random.default_rng(3)
+        cells = [spec.sample_cells(n, rng) for n in (12, 30)]
+        assert_batch_matches_walk(spec, cells, ("plugin", "relaxed", "upper", "exact"))
 
     def test_one_sample_per_batch_gives_same_curves(self, monkeypatch, spec_high_band):
         args = (spec_high_band, ["plugin", "relaxed", "population"], [10, 20, 30])
