@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -112,7 +112,8 @@ class RowPartition:
 
     ``cell_of_row[r]`` is the dense cell index of row r, ``cell_counts[c]``
     the size of cell c. Refining by one attribute at a time makes this the
-    incremental carrier for joint entropies.
+    incremental carrier for joint entropies. ``cell_of_row`` is held in
+    the narrowest unsigned dtype that fits ``cell_count - 1``.
     """
 
     cell_of_row: np.ndarray
@@ -123,7 +124,7 @@ class RowPartition:
     def trivial(cls, n: int) -> "RowPartition":
         """The single-cell partition (empty attribute set)."""
         return cls(
-            cell_of_row=np.zeros(n, dtype=np.int64),
+            cell_of_row=np.zeros(n, dtype=np.uint8),
             cell_counts=np.array([n], dtype=np.int64),
             cell_count=1,
         )
@@ -166,9 +167,9 @@ def refine_partition(parent: RowPartition, attr) -> RowPartition:
     keys = np.multiply(parent.cell_of_row, domain, dtype=np.int64)
     keys += attr.codes
     inverse, counts = _dense(keys, parent.cell_count * domain)
-    return RowPartition(
-        cell_of_row=inverse, cell_counts=counts, cell_count=int(counts.shape[0])
-    )
+    cell_count = int(counts.shape[0])
+    return RowPartition(inverse.astype(np.min_scalar_type(cell_count - 1)),
+                        counts, cell_count)
 
 
 @lru_cache(maxsize=8)
@@ -352,21 +353,18 @@ class SubsetScore:
         return len(self.members)
 
 
+EMPTY_SCORE = SubsetScore((), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 def assemble_score(
     members: tuple[int, ...],
     entropy_sum: float,
     entropy_max: float,
     joint_entropy: float,
-    domain_sizes,
-    n: int,
-    correction_bits=None,
+    correction_bits: float,
 ) -> SubsetScore:
-    """Build a SubsetScore from precomputed entropy components.
-
-    Glue shared by the from-scratch scorer and the incremental search so
-    both produce bit-identical results. ``correction_bits`` defaults to the
-    relaxed correction; pass an unnormalized value (or 0.0) to override.
-    """
+    """Build a SubsetScore from precomputed entropy components and the
+    unnormalized correction in bits, which a zero normalizer ignores."""
     total_correlation = entropy_sum - joint_entropy
     normalizer = entropy_sum - entropy_max
     if normalizer <= 0.0:
@@ -374,14 +372,31 @@ def assemble_score(
             members, entropy_sum, entropy_max, joint_entropy,
             total_correlation, normalizer, 0.0, 0.0, 0.0,
         )
-    if correction_bits is None:
-        correction_bits = correction_relaxed_bits(domain_sizes, n)
     correction = correction_bits / normalizer
     plugin = min(max(total_correlation / normalizer, 0.0), 1.0)
     return SubsetScore(
         members, entropy_sum, entropy_max, joint_entropy,
         total_correlation, normalizer, correction, plugin, plugin - correction,
     )
+
+
+def extend(dataset, score: SubsetScore, part: RowPartition,
+           i: int) -> tuple[SubsetScore, RowPartition]:
+    """The relaxed score and the partition of ``score``'s subset plus
+    attribute ``i``, refined from ``part``, that subset's partition. Each
+    search scores a child this way, and :func:`score_subset` and the chance
+    demonstration fold it from :data:`EMPTY_SCORE` and the trivial
+    partition, so all of them add the same entropies in the same order."""
+    attr = dataset.attributes[i]
+    part = refine_partition(part, attr)
+    members = score.members + (i,)
+    entropy_sum = score.entropy_sum + attr.entropy
+    entropy_max = max(score.entropy_max, attr.entropy)
+    # a zero normalizer takes no correction, and m0_relaxed needs n >= 2
+    sizes = [dataset.attributes[j].domain_size for j in members]
+    bits = correction_relaxed_bits(sizes, dataset.n) if entropy_sum > entropy_max else 0.0
+    joint = entropy(part.cell_counts, dataset.n)
+    return assemble_score(members, entropy_sum, entropy_max, joint, bits), part
 
 
 def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
@@ -400,24 +415,12 @@ def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
     ordered = _ordered_members(dataset, members)
     if estimator in ("upper", "exact") and len(ordered) > ORACLE_MAX_MEMBERS:
         raise ValueError(f"oracle correction limited to {ORACLE_MAX_MEMBERS} members")
-    n = dataset.n
-    attrs = [dataset.attributes[i] for i in ordered]
-    part = reduce(refine_partition, attrs, RowPartition.trivial(n))
-    entropy_sum = 0.0
-    for attr in attrs:  # left to right, as the incremental search adds them
-        entropy_sum += attr.entropy
-    entropy_max = attrs[0].entropy
-    joint = entropy(part.cell_counts, n)
-    sizes = [attr.domain_size for attr in attrs]
-    w_norm = entropy_sum - entropy_max
-
-    if estimator == "plugin" or w_norm <= 0.0:
-        bits = 0.0
-    elif estimator == "relaxed":
-        bits = correction_relaxed_bits(sizes, n)
-    else:
-        bits = _max_correction_bits(dataset, estimator)(frozenset(ordered))
-    return assemble_score(
-        tuple(ordered), entropy_sum, entropy_max, joint, sizes, n,
-        correction_bits=bits,
-    )
+    score, part = EMPTY_SCORE, RowPartition.trivial(dataset.n)
+    for i in ordered:
+        score, part = extend(dataset, score, part, i)
+    if estimator == "relaxed" or score.normalizer <= 0.0:
+        return score
+    bits = (0.0 if estimator == "plugin" else
+            _max_correction_bits(dataset, estimator)(frozenset(ordered)))
+    return assemble_score(score.members, score.entropy_sum, score.entropy_max,
+                          score.joint_entropy, bits)

@@ -24,16 +24,14 @@ import itertools
 import math
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
-
 from .estimators import (
+    EMPTY_SCORE,
     RowPartition,
     SubsetScore,
-    assemble_score,
-    entropy,
+    extend,
     order_attributes,
     refine_partition,
 )
@@ -59,24 +57,19 @@ class SearchContext:
         if dataset.d < 2:
             raise ValueError("need at least 2 attributes to search")
         self.dataset = dataset
-        self.n = dataset.n
         self.d = dataset.d
         self.order = order_attributes(dataset)
         self.attrs = [dataset.attributes[i] for i in self.order]
         self.entropies = [a.entropy for a in self.attrs]
-        self.domain_sizes = [a.domain_size for a in self.attrs]
         # suffix_entropy[r] = sum of entropies at ranks >= r
         suffix = [0.0] * (self.d + 1)
         for r in range(self.d - 1, -1, -1):
             suffix[r] = self.entropies[r] + suffix[r + 1]
         self.suffix_entropy = suffix
 
-    def original_members(self, ranks) -> tuple[int, ...]:
-        return tuple(self.order[r] for r in ranks)
-
     def partition_of(self, ranks) -> RowPartition:
         return reduce(refine_partition, (self.attrs[r] for r in ranks),
-                      RowPartition.trivial(self.n))
+                      RowPartition.trivial(self.dataset.n))
 
 
 @dataclass(eq=False)
@@ -156,7 +149,7 @@ class SearchStats:
         return self
 
 
-_ROOT = SearchNode((), SubsetScore((), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+_ROOT = SearchNode((), EMPTY_SCORE)
 
 
 def _children(ctx: SearchContext, node: SearchNode,
@@ -165,16 +158,8 @@ def _children(ctx: SearchContext, node: SearchNode,
     from ``part`` (the node's partition) and yielded with its own
     partition. A singleton's normalizer is 0, so it scores 0."""
     for rank in range(node.last_index + 1, ctx.d):
-        attr = ctx.attrs[rank]
-        child_part = refine_partition(part, attr)
-        members = node.members + (rank,)
-        score = assemble_score(
-            ctx.original_members(members), node.score.entropy_sum + attr.entropy,
-            max(node.score.entropy_max, attr.entropy),
-            entropy(child_part.cell_counts, ctx.n),
-            [ctx.domain_sizes[r] for r in members], ctx.n,
-        )
-        yield SearchNode(members, score), child_part
+        score, child_part = extend(ctx.dataset, node.score, part, ctx.order[rank])
+        yield SearchNode(node.members + (rank,), score), child_part
         del child_part  # not held while the next child is refined
 
 
@@ -206,13 +191,6 @@ def bound_ref(node: SearchNode, ctx: SearchContext) -> float:
 PARTITION_STORE_BYTES = 64 * 2**20
 
 
-def _pack(part: RowPartition) -> RowPartition:
-    """``part`` with ``cell_of_row`` in the narrowest unsigned dtype that
-    holds its largest cell index; :func:`refine_partition` takes it as is."""
-    return replace(part, cell_of_row=part.cell_of_row.astype(
-        np.min_scalar_type(part.cell_count - 1)))
-
-
 def _nbytes(part: RowPartition) -> int:
     return part.cell_of_row.nbytes + part.cell_counts.nbytes
 
@@ -230,7 +208,7 @@ def branch_and_bound(
     seconds returns the best found so far with ``stats.completed`` False
     when exceeded; it is checked after every scored child.
 
-    Each queued child keeps its partition, packed narrow, so a popped node
+    Each queued child keeps its partition, so a popped node
     is refined only into its children; past ``PARTITION_STORE_BYTES`` a
     child is queued without one and rebuilt from the root when popped.
     """
@@ -243,10 +221,10 @@ def branch_and_bound(
     store = TopKStore(k)
     stats = SearchStats()
     stats.nodes_explored = 1
-    # heap entries (-potential, members, node, packed partition or None);
+    # heap entries (-potential, members, node, partition or None);
     # member tuples are unique so neither node nor partition is compared
     heap = [(-1.0, (), _ROOT, None)]
-    stored = 0  # bytes of the packed partitions in the heap
+    stored = 0  # bytes of the partitions in the heap
 
     def out_of_time() -> bool:
         if budget is not None and time.perf_counter() - started > budget:
@@ -272,20 +250,20 @@ def branch_and_bound(
             stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
             store.offer(child.members, child.score)
             if child.last_index < ctx.d - 1:  # else no refinements to cut or keep
-                children.append((child, _pack(child_part)))
+                children.append((child, child_part))
             if out_of_time():
                 break
-        for child, packed in children:
+        for child, child_part in children:
             # both bounds are 1 below depth 2, and bound_ref <= bound_mon
             potential = min(bound_mon(child), bound_ref(child, ctx))
             if not alpha * potential > store.threshold():
                 stats.nodes_pruned += 1
                 continue
-            if stored + _nbytes(packed) > PARTITION_STORE_BYTES:
-                packed = None  # rebuilt from the root when popped
+            if stored + _nbytes(child_part) > PARTITION_STORE_BYTES:
+                child_part = None  # rebuilt from the root when popped
             else:
-                stored += _nbytes(packed)
-            heapq.heappush(heap, (-potential, child.members, child, packed))
+                stored += _nbytes(child_part)
+            heapq.heappush(heap, (-potential, child.members, child, child_part))
     return store, stats.finish(ctx.d, store, started)
 
 

@@ -22,12 +22,13 @@ import numpy as np
 
 from .data import EncodedDataset
 from .estimators import (
+    EMPTY_SCORE,
     ORACLE_MAX_MEMBERS,
     RowPartition,
     _max_correction_bits,
     correction_relaxed_bits,
     entropy,
-    refine_partition,
+    extend,
 )
 
 __all__ = [
@@ -380,20 +381,15 @@ def chance_demo(
     dataset = EncodedDataset.from_codes(
         [f"U{i + 1}" for i in range(d)], [codes[:, i] for i in range(d)], n
     )
-    part = RowPartition.trivial(n)
-    h_sum = 0.0
-    sizes: list[int] = []
+    score, part = EMPTY_SCORE, RowPartition.trivial(n)
     records = []
-    for c in range(1, d + 1):
-        attr = dataset.attributes[c - 1]
-        part = refine_partition(part, attr)
-        h_sum += attr.entropy
-        sizes.append(attr.domain_size)
-        if c < 2:
-            continue
-        plugin_bits = h_sum - entropy(part.cell_counts, n)
-        corrected_bits = plugin_bits - correction_relaxed_bits(sizes, n)
-        records.append(ChanceRecord(c, plugin_bits, corrected_bits))
+    for i in range(d):
+        score, part = extend(dataset, score, part, i)
+        if i:
+            plugin_bits = score.total_correlation
+            sizes = [a.domain_size for a in dataset.attributes[:i + 1]]
+            records.append(ChanceRecord(
+                i + 1, plugin_bits, plugin_bits - correction_relaxed_bits(sizes, n)))
     return records
 
 

@@ -159,10 +159,12 @@ def chain_mi_sum(dataset: EncodedDataset, members) -> float:
     return total
 
 
-def brute_force_scores(dataset: EncodedDataset) -> dict[tuple[int, ...], float]:
+def brute_force_scores(dataset: EncodedDataset,
+                       corrected: bool = True) -> dict[tuple[int, ...], float]:
     """Relaxed corrected score of every subset of two or more attributes,
     keyed by sorted column indices, recomputed from row tuples and the
-    brute-force ordering maximum. A zero normalizer scores 0."""
+    brute-force ordering maximum; the plug-in score if not ``corrected``.
+    A zero normalizer scores 0."""
     n = dataset.n
     cols = [a.codes.tolist() for a in dataset.attributes]
     entropies = [oracle_entropy(col) for col in cols]
@@ -177,7 +179,8 @@ def brute_force_scores(dataset: EncodedDataset) -> dict[tuple[int, ...], float]:
                 continue
             tc = sum(h) - subset_joint_entropy(dataset, members)
             plugin = min(max(tc / normalizer, 0.0), 1.0)
-            bits = oracle_relaxed_correction_max([domains[i] for i in members], n)
+            bits = (oracle_relaxed_correction_max([domains[i] for i in members], n)
+                    if corrected else 0.0)
             scores[members] = plugin - bits / normalizer
     return scores
 

@@ -146,13 +146,17 @@ def unique_refine(parent, attr):
     """Reference refinement: sort the (parent cell, code) keys with np.unique."""
     if attr.domain_size <= 1:
         return parent
-    keys = parent.cell_of_row * attr.domain_size + attr.codes
+    keys = parent.cell_of_row.astype(np.int64) * attr.domain_size + attr.codes
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     return RowPartition(inverse, counts, len(counts))
 
 
 def assert_same_partition(got, want):
-    assert got.cell_of_row.dtype == got.cell_counts.dtype == np.int64
+    # cell indices in the narrowest unsigned dtype that holds them
+    narrow = (np.uint8 if want.cell_count <= 256 else
+              np.uint16 if want.cell_count <= 65_536 else np.uint32)
+    assert got.cell_of_row.dtype == narrow
+    assert got.cell_counts.dtype == np.int64
     assert np.array_equal(got.cell_of_row, want.cell_of_row)
     assert np.array_equal(got.cell_counts, want.cell_counts)
     assert got.cell_count == want.cell_count

@@ -1,8 +1,11 @@
 """The public names of corrsets resolve: a name left in an ``__all__`` after
-its definition is removed breaks ``from corrsets.<module> import *``."""
+its definition is removed breaks ``from corrsets.<module> import *``. And no
+module imports a name it never uses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +36,24 @@ def test_star_import(name):
     exec(f"from {name} import *", namespace)
     module = importlib.import_module(name)
     assert set(getattr(module, "__all__", [])) <= set(namespace)
+
+
+SRC = Path(corrsets.__file__).parent
+SOURCES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_no_unused_imports(name):
+    tree = ast.parse((SRC / name).read_text("utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # a name listed in __all__ is re-exported
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    assert sorted(imported - used) == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrsets import search
+from corrsets import estimators, search
 from corrsets.data import EncodedDataset
 from corrsets.estimators import RowPartition, SubsetScore, refine_partition, score_subset
 from corrsets.search import (
@@ -23,6 +23,7 @@ from corrsets.search import (
     order_attributes,
     walk,
 )
+import helpers
 from helpers import brute_force_scores, brute_force_topk, random_dataset
 
 
@@ -387,6 +388,20 @@ class TestAgainstBruteForce:
         assert ds.attributes[1].entropy == 0.0
         assert_matches_brute_force(exhaustive_topk(ds, k=3), brute_force_scores(ds), 3)
 
+    @given(ds=small_tables())
+    @settings(max_examples=80, deadline=None)
+    def test_score_subset_matches_oracle(self, ds):
+        # the searches and score_subset share one scoring step, so their
+        # agreement alone cannot catch a fault in it; the oracle does not
+        # run that step
+        assert not hasattr(helpers, "extend")
+        corrected = brute_force_scores(ds)
+        plugin = brute_force_scores(ds, corrected=False)
+        for members, value in corrected.items():
+            score = score_subset(ds, members, "relaxed")
+            assert score.corrected_score == pytest.approx(value, abs=1e-9)
+            assert score.plugin_score == pytest.approx(plugin[members], abs=1e-9)
+
     @given(ds=small_tables(), k=st.integers(1, 4))
     @settings(max_examples=80, deadline=None)
     def test_exhaustive_and_bnb_match_oracle(self, ds, k):
@@ -396,12 +411,14 @@ class TestAgainstBruteForce:
 
 
 def refinements_of(search_fn, ds, k):
-    """(result, number of refine_partition calls) of one search."""
+    """(result, number of refine_partition calls) of one search: a child's
+    in ``estimators.extend``, a rebuild's from the root in ``search``."""
     calls = []
-    refine = search.refine_partition
+    refine = estimators.refine_partition
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "refine_partition",
-                   lambda *args: calls.append(1) or refine(*args))
+        for module in (estimators, search):
+            mp.setattr(module, "refine_partition",
+                       lambda *args: calls.append(1) or refine(*args))
         return search_fn(ds, k=k), len(calls)
 
 
@@ -429,8 +446,8 @@ class TestRefinementCounts:
 
 
 class TestPartitionStore:
-    """bnb carries each queued child's partition, packed narrow, up to a
-    byte cap, and rebuilds it from the root past the cap."""
+    """bnb carries each queued child's partition, narrow as refined, up to
+    a byte cap, and rebuilds it from the root past the cap."""
 
     @pytest.mark.parametrize("cap", [0, 300])
     @pytest.mark.parametrize("d", [3, 6, 9])
@@ -457,18 +474,22 @@ class TestPartitionStore:
         (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
     ])
     def test_pack_widen_round_trip(self, cell_count, dtype):
-        # a packed partition refines exactly as the int64 one it came from
+        # refine_partition packs cell indices into the narrowest dtype that
+        # holds them, and the next refinement widens its keys to int64, so
+        # it refines exactly as the int64 partition with the same cells
         rng = np.random.default_rng(cell_count)
         # every cell occupied, the last one included, in shuffled row order
         cells = rng.permutation(np.concatenate([
             np.arange(cell_count), rng.integers(0, cell_count, 1000)]))
-        part = RowPartition(cells, np.bincount(cells), cell_count)
-        packed = search._pack(part)
+        ids = SimpleNamespace(codes=cells, domain_size=cell_count)
+        packed = refine_partition(RowPartition.trivial(cells.shape[0]), ids)
         assert packed.cell_of_row.dtype == dtype
-        assert np.array_equal(packed.cell_of_row, part.cell_of_row)
+        assert packed.cell_count == cell_count
+        assert np.array_equal(packed.cell_of_row, cells)
+        part = RowPartition(cells, np.bincount(cells), cell_count)
         attr = SimpleNamespace(codes=rng.integers(0, 3, cells.shape[0]), domain_size=3)
         want, got = refine_partition(part, attr), refine_partition(packed, attr)
-        assert got.cell_of_row.dtype == np.int64
+        assert got.cell_of_row.dtype == want.cell_of_row.dtype
         assert got.cell_count == want.cell_count
         assert np.array_equal(got.cell_of_row, want.cell_of_row)
         assert np.array_equal(got.cell_counts, want.cell_counts)

@@ -23,7 +23,13 @@ from corrsets.synth import (
     score_samples,
     write_curves_tsv,
 )
-from helpers import oracle_entropy, oracle_population_w, oracle_table_entropy, walk_argmax
+from helpers import (
+    oracle_entropy,
+    oracle_population_w,
+    oracle_relaxed_correction_max,
+    oracle_table_entropy,
+    walk_argmax,
+)
 
 
 def uniform_pair():
@@ -369,6 +375,22 @@ class TestChanceDemo:
         assert [r.cardinality for r in records] == list(range(2, 9))
         for r in records:
             assert r.corrected_bits <= r.plugin_bits
+
+    @pytest.mark.parametrize("d, n, seed", [(8, 500, 1), (6, 300, 9)])
+    def test_values_match_oracle(self, d, n, seed):
+        # the chain's columns are redrawn as chance_demo draws them
+        codes = np.random.default_rng(seed).integers(0, 4, size=(n, d))
+        records = chance_demo(d=d, n=n, seed=seed)
+        assert [r.cardinality for r in records] == list(range(2, d + 1))
+        for r in records:
+            chain = range(r.cardinality)
+            rows = [tuple(row) for row in codes[:, :r.cardinality].tolist()]
+            plugin = (math.fsum(oracle_entropy(codes[:, i].tolist()) for i in chain)
+                      - oracle_entropy(rows))
+            sizes = [len(set(codes[:, i].tolist())) for i in chain]
+            assert r.plugin_bits == pytest.approx(plugin, abs=1e-9)
+            assert r.corrected_bits == pytest.approx(
+                r.plugin_bits - oracle_relaxed_correction_max(sizes, n), abs=1e-9)
 
     def test_plugin_grows_with_cardinality(self):
         records = chance_demo(seed=3)
