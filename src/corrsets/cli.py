@@ -163,13 +163,10 @@ def build_parser() -> _Parser:
 
 def _load_dataset(args):
     with open(args.input, "rb") as fh:
-        raw = fh.read()
-    table = parse_csv(raw, has_header=not args.no_header)
+        table = parse_csv(fh.read(), has_header=not args.no_header)
     if table.rejected_rows:
-        print(
-            f"note: dropped {table.rejected_rows} rows with empty fields",
-            file=sys.stderr,
-        )
+        print(f"note: dropped {table.rejected_rows} rows with empty fields",
+              file=sys.stderr)
     cols = args.numeric_cols
     if cols not in ("auto", "none"):
         cols = [c for c in cols.split(",") if c]
@@ -196,18 +193,15 @@ def _dataset_summary(dataset) -> dict:
 
 
 def _result_records(dataset, store: TopKStore) -> list[dict]:
-    records = []
-    for rank, (_, value, score) in enumerate(store.results, start=1):
-        records.append({
-            "rank": rank,
-            "members": [dataset.attributes[i].name for i in score.members],
-            "corrected_score": score.corrected_score,
-            "plugin_score": score.plugin_score,
-            "correction": score.correction,
-            "depth": score.depth,
-            "value": value,
-        })
-    return records
+    return [{
+        "rank": rank,
+        "members": [dataset.attributes[i].name for i in score.members],
+        "corrected_score": score.corrected_score,
+        "plugin_score": score.plugin_score,
+        "correction": score.correction,
+        "depth": score.depth,
+        "value": value,
+    } for rank, (_, value, score) in enumerate(store.results, start=1)]
 
 
 def _check_outputs(json_path, out_dir) -> None:
@@ -424,12 +418,8 @@ def main(argv=None) -> int:
         parser.error("--budget applies only to --algo bnb")
     if args.json == "":
         parser.error("--json needs a file path")
-    handlers = {
-        "discover": cmd_discover,
-        "score": cmd_score,
-        "regret": cmd_regret,
-        "chance": cmd_chance,
-    }
+    handlers = {"discover": cmd_discover, "score": cmd_score,
+                "regret": cmd_regret, "chance": cmd_chance}
     try:
         _check_outputs(args.json, getattr(args, "out_dir", "."))  # only regret has --out-dir
         return handlers[args.command](args)

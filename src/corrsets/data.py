@@ -89,24 +89,30 @@ class EncodedDataset:
     def from_codes(cls, names, code_columns, n: int) -> "EncodedDataset":
         """Build a dataset from raw integer code columns, compacting each
         column so codes are dense in [0, observed domain size). Each name
-        needs one column of exactly ``n`` codes."""
+        needs one column of exactly ``n`` codes: integers, booleans, or
+        floats that are all whole numbers."""
         if len(names) != len(code_columns):
             raise DataError(f"{len(names)} names for {len(code_columns)} columns")
         attrs = []
         for name, codes in zip(names, code_columns):
-            codes = np.asarray(codes, dtype=np.int64)
+            codes = np.asarray(codes)
             if codes.shape != (n,):
                 raise DataError(f"column {name!r} has shape {codes.shape}, not ({n},)")
-            attrs.append(_make_attribute(name, codes, n))
+            if codes.dtype.kind not in "biuf":
+                raise DataError(f"column {name!r}: non-numeric codes of dtype {codes.dtype}")
+            if codes.dtype.kind == "f" and not (  # a cast truncates 1.7 and NaN
+                    (np.abs(codes) < 2.0**63) & (np.trunc(codes) == codes)).all():
+                raise DataError(f"column {name!r}: codes must be finite whole numbers")
+            attrs.append(_make_attribute(name, codes.astype(np.int64, copy=False), n))
         return cls(attributes=tuple(attrs), n=n)
 
 
 def _make_attribute(name: str, codes: np.ndarray, n: int) -> Attribute:
     low = int(codes.min(initial=0))  # from_codes takes negative codes too
-    dense, counts = _dense(codes - low, int(codes.max(initial=0)) - low + 1)
+    counts, number = _dense(codes - low, int(codes.max(initial=0)) - low + 1)
     return Attribute(
         name=name,
-        codes=dense,
+        codes=number(np.int64),
         domain_size=int(len(counts)),
         entropy=entropy(counts, n),
     )
@@ -195,7 +201,7 @@ def discretize_equal_frequency(values, bins: int) -> np.ndarray:
     group_of_rank = np.repeat(np.arange(bins, dtype=np.int64), sizes)
     first_rank = np.flatnonzero(is_first)[value_of_rank]
     codes[order] = group_of_rank[first_rank]
-    return _dense(codes, bins)[0]
+    return _dense(codes, bins)[1](np.int64)
 
 
 def _floats(column, name: str) -> np.ndarray:

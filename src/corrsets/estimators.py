@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -113,21 +113,28 @@ class RowPartition:
     ``cell_of_row[r]`` is the dense cell index of row r, ``cell_counts[c]``
     the size of cell c. Refining by one attribute at a time makes this the
     incremental carrier for joint entropies. ``cell_of_row`` is held in
-    the narrowest unsigned dtype that fits ``cell_count - 1``.
+    the narrowest unsigned dtype that fits ``cell_count - 1``. It may be
+    given as a function that numbers the rows, called on the first read
+    and then replaced by its array; two racing first reads compute the
+    same array, so numbering once or twice is the same.
     """
 
-    cell_of_row: np.ndarray
+    _cell_of_row: np.ndarray | partial
     cell_counts: np.ndarray
     cell_count: int
+
+    @property
+    def cell_of_row(self) -> np.ndarray:
+        cells = self._cell_of_row
+        if callable(cells):  # then drop the function and the keys it holds
+            cells = cells()
+            object.__setattr__(self, "_cell_of_row", cells)
+        return cells
 
     @classmethod
     def trivial(cls, n: int) -> "RowPartition":
         """The single-cell partition (empty attribute set)."""
-        return cls(
-            cell_of_row=np.zeros(n, dtype=np.uint8),
-            cell_counts=np.array([n], dtype=np.int64),
-            cell_count=1,
-        )
+        return cls(np.zeros(n, dtype=np.uint8), np.array([n], dtype=np.int64), 1)
 
 
 # Key spaces up to this many keys per row are counted, larger ones sorted.
@@ -137,20 +144,26 @@ class RowPartition:
 _COUNTING_SPACE_PER_ROW = 2
 
 
-def _dense(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """Number non-negative integer keys below ``space`` densely, in
-    ascending key order: returns each key's rank among the distinct keys
-    and the count of each distinct key, as ``np.unique`` would.
-    """
-    if space <= _COUNTING_SPACE_PER_ROW * keys.shape[0]:
-        counts = np.bincount(keys, minlength=space)
-        occupied = counts > 0
-        remap = np.cumsum(occupied)
-        remap -= 1
-        inverse, counts = remap[keys], counts[occupied]
-    else:
-        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return inverse.astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
+def _dense(keys: np.ndarray, space: int) -> tuple[np.ndarray, partial]:
+    """Count non-negative integer keys below ``space``: returns each
+    distinct key's count, in ascending key order as ``np.unique`` would,
+    and the numbering step, a function of a dtype that gives each key's
+    rank among the distinct keys."""
+    if space > _COUNTING_SPACE_PER_ROW * keys.shape[0]:
+        return np.unique(keys, return_counts=True)[1], partial(_number, keys, None)
+    counts = np.bincount(keys, minlength=space)
+    occupied = counts > 0
+    return counts[occupied], partial(_number, keys, occupied)
+
+
+def _number(keys: np.ndarray, occupied: np.ndarray | None, dtype) -> np.ndarray:
+    """Each key's rank, in ``dtype``: from the running count of the
+    ``occupied`` key space, or by sorting again where it was too large."""
+    if occupied is None:
+        return np.unique(keys, return_inverse=True)[1].astype(dtype, copy=False)
+    remap = np.cumsum(occupied)
+    remap -= 1
+    return remap.astype(dtype, copy=False)[keys]
 
 
 def refine_partition(parent: RowPartition, attr) -> RowPartition:
@@ -159,16 +172,19 @@ def refine_partition(parent: RowPartition, attr) -> RowPartition:
     ``attr`` needs ``codes`` (dense integer array of length n) and
     ``domain_size``. ``parent.cell_of_row`` may have any integer dtype: keys
     are computed in int64. Output cells are dense and ordered by (parent
-    cell, code), which keeps repeated refinement deterministic.
+    cell, code), which keeps repeated refinement deterministic. Only the
+    counts are computed here: rows are numbered on the first read of the
+    result's ``cell_of_row``, so a subset that is scored but never refined
+    is never numbered.
     """
     domain = int(attr.domain_size)
     if domain <= 1:
         return parent
     keys = np.multiply(parent.cell_of_row, domain, dtype=np.int64)
     keys += attr.codes
-    inverse, counts = _dense(keys, parent.cell_count * domain)
+    counts, number = _dense(keys, parent.cell_count * domain)
     cell_count = int(counts.shape[0])
-    return RowPartition(inverse.astype(np.min_scalar_type(cell_count - 1)),
+    return RowPartition(partial(number, np.min_scalar_type(cell_count - 1)),
                         counts, cell_count)
 
 

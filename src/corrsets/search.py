@@ -60,12 +60,9 @@ class SearchContext:
         self.d = dataset.d
         self.order = order_attributes(dataset)
         self.attrs = [dataset.attributes[i] for i in self.order]
-        self.entropies = [a.entropy for a in self.attrs]
-        # suffix_entropy[r] = sum of entropies at ranks >= r
-        suffix = [0.0] * (self.d + 1)
-        for r in range(self.d - 1, -1, -1):
-            suffix[r] = self.entropies[r] + suffix[r + 1]
-        self.suffix_entropy = suffix
+        # suffix_entropy[r] = sum of entropies at ranks >= r, from the last rank
+        self.suffix_entropy = list(itertools.accumulate(
+            (a.entropy for a in reversed(self.attrs)), initial=0.0))[::-1]
 
     def partition_of(self, ranks) -> RowPartition:
         return reduce(refine_partition, (self.attrs[r] for r in ranks),
@@ -250,12 +247,16 @@ def branch_and_bound(
             stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
             store.offer(child.members, child.score)
             if child.last_index < ctx.d - 1:  # else no refinements to cut or keep
-                children.append((child, child_part))
+                # both bounds are 1 below depth 2, and bound_ref <= bound_mon
+                potential = min(bound_mon(child), bound_ref(child, ctx))
+                if not alpha * potential > store.threshold():
+                    stats.nodes_pruned += 1  # the threshold only rises
+                else:
+                    child_part.cell_of_row  # numbered now, so no keys are kept
+                    children.append((potential, child, child_part))
             if out_of_time():
                 break
-        for child, child_part in children:
-            # both bounds are 1 below depth 2, and bound_ref <= bound_mon
-            potential = min(bound_mon(child), bound_ref(child, ctx))
+        for potential, child, child_part in children:
             if not alpha * potential > store.threshold():
                 stats.nodes_pruned += 1
                 continue

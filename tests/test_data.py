@@ -245,6 +245,27 @@ class TestEncode:
         assert attr.codes.tolist() == ranks.tolist()
         assert attr.domain_size == len(values)
 
+    def test_from_codes_rejects_fractional_codes(self):
+        # a cast to int64 would read [0.5, 1.7, 1.2] as [0, 1, 1]: 2 values, not 3
+        with pytest.raises(DataError, match="'f'.*whole numbers"):
+            EncodedDataset.from_codes(["a", "f"], [[0, 1, 2], [0.5, 1.7, 1.2]], 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e19])
+    def test_from_codes_rejects_non_finite_codes(self, bad):
+        with pytest.raises(DataError, match="'v'.*whole numbers"):
+            EncodedDataset.from_codes(["v"], [[0.0, bad, 1.0]], 3)
+
+    def test_from_codes_rejects_text_codes(self):
+        with pytest.raises(DataError, match="'t'.*non-numeric"):
+            EncodedDataset.from_codes(["t"], [["1", "2", "x"]], 3)
+
+    def test_from_codes_accepts_whole_floats_and_bools(self):
+        ds = EncodedDataset.from_codes(
+            ["f", "b"], [[1.0, 2.0, -1.0], np.array([True, False, True])], 3
+        )
+        assert [a.codes.tolist() for a in ds.attributes] == [[1, 2, 0], [1, 0, 1]]
+        assert [a.domain_size for a in ds.attributes] == [3, 2]
+
     def test_from_codes_sparse_codes(self):
         ds = EncodedDataset.from_codes(["v"], [np.array([7, 3, 7, 100])], 4)
         assert ds.attributes[0].codes.tolist() == [1, 0, 1, 2]

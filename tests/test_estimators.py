@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,6 +227,78 @@ class TestRefineKernel:
         assert part.cell_of_row.tolist() == [0]
         assert part.cell_counts.tolist() == [1]
         assert part.cell_count == 1
+
+
+class TestDeferredNumbering:
+    """refine_partition counts cells at once and numbers rows on the first
+    read of cell_of_row; nothing else can tell when that happened."""
+
+    n = 500
+
+    def columns(self):
+        rng = np.random.default_rng(3)
+        return {
+            "binary": SimpleNamespace(codes=rng.integers(0, 2, self.n), domain_size=2),
+            "ids": SimpleNamespace(codes=rng.permutation(self.n), domain_size=self.n),
+            "wide": SimpleNamespace(codes=rng.integers(0, 50, self.n), domain_size=50),
+            "ternary": SimpleNamespace(codes=rng.integers(0, 3, self.n), domain_size=3),
+        }
+
+    @pytest.mark.parametrize("first, second", [
+        ("binary", "ids"),  # 2n keys: counted
+        ("ids", "wide"),  # 50n keys: sorted
+    ])
+    def test_numbered_once_on_first_read(self, first, second, monkeypatch):
+        numbered = []
+        number = estimators._number
+        monkeypatch.setattr(estimators, "_number",
+                            lambda *args: numbered.append(1) or number(*args))
+        columns = self.columns()
+        parent = refine_partition(RowPartition.trivial(self.n), columns[first])
+        part = refine_partition(parent, columns[second])
+        assert len(numbered) == 1  # the parent's rows, read to form the keys
+        cells = part.cell_of_row
+        assert len(numbered) == 2
+        assert part.cell_of_row is cells
+        assert len(numbered) == 2
+        assert_same_partition(part, unique_refine(parent, columns[second]))
+
+    @pytest.mark.parametrize("first, second", [("binary", "ids"), ("ids", "wide")])
+    def test_late_read_refines_as_early_read(self, first, second):
+        columns = self.columns()
+        parent = refine_partition(RowPartition.trivial(self.n), columns[first])
+        early = refine_partition(parent, columns[second])
+        early.cell_of_row
+        late = refine_partition(parent, columns[second])
+        for attr in (columns["ternary"], columns["wide"]):
+            assert_same_partition(refine_partition(late, attr),
+                                  refine_partition(early, attr))
+
+    def test_racing_first_reads_agree(self):
+        columns = self.columns()
+        parent = refine_partition(RowPartition.trivial(self.n), columns["binary"])
+        want = unique_refine(parent, columns["ids"])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                for _ in range(20):
+                    part = refine_partition(parent, columns["ids"])
+                    reads = [pool.submit(getattr, part, "cell_of_row") for _ in range(4)]
+                    for read in reads:
+                        assert np.array_equal(read.result(timeout=10), want.cell_of_row)
+                    assert part.cell_of_row is part.cell_of_row
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_counts_need_no_numbering(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("rows numbered")
+
+        monkeypatch.setattr(estimators, "_number", fail)
+        part = refine_partition(RowPartition.trivial(self.n), self.columns()["wide"])
+        assert part.cell_count == 50
+        assert part.cell_counts.sum() == self.n
 
 
 class TestExpectedMiPermutation:

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import itertools
 import math
 from types import SimpleNamespace
@@ -410,16 +411,33 @@ class TestAgainstBruteForce:
         assert_matches_brute_force(branch_and_bound(ds, k=k)[0], scores, k)
 
 
-def refinements_of(search_fn, ds, k):
-    """(result, number of refine_partition calls) of one search: a child's
-    in ``estimators.extend``, a rebuild's from the root in ``search``."""
-    calls = []
-    refine = estimators.refine_partition
+def counted(fn, *args, **kwargs):
+    """fn's result and how often it called ``refine_partition`` (a child's
+    in ``estimators.extend``, a rebuild's from the root in ``search``),
+    numbered a partition's rows (``estimators._number``), expanded a
+    search node and pushed onto a heap."""
+    counts = {"refine": 0, "number": 0, "expand": 0, "push": 0}
+
+    def counting(name, f):
+        def call(*a, **kw):
+            counts[name] += 1
+            return f(*a, **kw)
+        return call
+
+    refine = counting("refine", estimators.refine_partition)
     with pytest.MonkeyPatch.context() as mp:
         for module in (estimators, search):
-            mp.setattr(module, "refine_partition",
-                       lambda *args: calls.append(1) or refine(*args))
-        return search_fn(ds, k=k), len(calls)
+            mp.setattr(module, "refine_partition", refine)
+        mp.setattr(estimators, "_number", counting("number", estimators._number))
+        mp.setattr(search, "_children", counting("expand", search._children))
+        mp.setattr(heapq, "heappush", counting("push", heapq.heappush))
+        return fn(*args, **kwargs), counts
+
+
+def refinements_of(search_fn, ds, k):
+    """(result, number of refine_partition calls) of one search."""
+    result, counts = counted(search_fn, ds, k=k)
+    return result, counts["refine"]
 
 
 class TestRefinementCounts:
@@ -443,6 +461,54 @@ class TestRefinementCounts:
     @pytest.mark.parametrize("d", [3, 6, 9])
     def test_seeded_tables(self, d):
         self.check(random_dataset(np.random.default_rng(31 + d), d=d, n=60), 3)
+
+
+class TestNumberingCounts:
+    """Only a partition that is refined further has its rows numbered:
+    never a leaf of a walk, a greedy level's losing children, the last
+    prefix of a fold, or a bnb child whose bound fails when it is scored."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("d", [3, 6, 9])
+    def test_bnb_numbers_the_children_that_pass_when_scored(self, d, alpha, monkeypatch):
+        ds = random_dataset(np.random.default_rng(31 + d), d=d, n=60)
+        ctx, passed = SearchContext(ds), []
+
+        class Recording(TopKStore):
+            def offer(self, members, score):
+                super().offer(members, score)
+                node = SearchNode(members, score)
+                if node.last_index < ds.d - 1:
+                    potential = min(bound_mon(node), bound_ref(node, ctx))
+                    passed.append(alpha * potential > self.threshold())
+
+        monkeypatch.setattr(search, "TopKStore", Recording)
+        (_, stats), counts = counted(branch_and_bound, ds, k=3, alpha=alpha)
+        assert counts["refine"] == stats.nodes_explored - 1
+        # a passing child is numbered at once, and pushed unless the
+        # threshold rises past it before the expansion ends
+        assert 0 < counts["push"] <= counts["number"] == sum(passed) < counts["refine"]
+
+    def test_exhaustive_numbers_every_subset_without_the_last_rank(self):
+        ds = random_dataset(np.random.default_rng(5), d=10, n=60)
+        _, counts = counted(exhaustive_topk, ds, k=3)
+        assert (counts["refine"], counts["number"]) == (2**10 - 1, 2**9 - 1)
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_greedy_numbers_only_the_nodes_it_expands(self, seed):
+        ds = random_dataset(np.random.default_rng(seed), d=8, n=60)
+        (_, stats), counts = counted(greedy, ds, k=3)
+        # the root's partition is trivial; the d - 1 singletons and each
+        # level's winner are expanded
+        assert counts["number"] == counts["expand"] - 1 >= ds.d - 1
+        assert counts["refine"] == ds.d - 1 + stats.nodes_explored
+
+    @pytest.mark.parametrize("estimator", ["plugin", "relaxed"])
+    @pytest.mark.parametrize("m", [2, 5, 9])
+    def test_score_subset_numbers_every_prefix_but_the_last(self, m, estimator):
+        ds = random_dataset(np.random.default_rng(m), d=9, n=60)
+        _, counts = counted(score_subset, ds, range(m), estimator)
+        assert (counts["refine"], counts["number"]) == (m, m - 1)
 
 
 class TestPartitionStore:
