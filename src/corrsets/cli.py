@@ -146,7 +146,7 @@ def build_parser() -> _Parser:
     p_reg.add_argument("--trials", type=_int_from(1), default=500)
     p_reg.add_argument("--estimators", type=_estimator_list, default="plugin,relaxed",
                        help="comma list from plugin,relaxed,upper,exact,population")
-    p_reg.add_argument("--seed", type=int, default=0)
+    p_reg.add_argument("--seed", type=_int_from(0), default=0)
     p_reg.add_argument("--max-attempts", type=_int_from(1), default=MAX_ATTEMPTS,
                        help="rejection-sampling draws per band before skipping")
     p_reg.add_argument("--out-dir", default=".", help="directory for TSV curves")
@@ -156,7 +156,7 @@ def build_parser() -> _Parser:
     p_ch.add_argument("--d", type=_int_from(2), default=10)
     p_ch.add_argument("--domain", type=_int_from(1), default=4)
     p_ch.add_argument("--n", type=_int_from(2), default=1000)
-    p_ch.add_argument("--seed", type=int, default=0)
+    p_ch.add_argument("--seed", type=_int_from(0), default=0)
     p_ch.add_argument("--json", default=None)
     return parser
 
@@ -283,18 +283,10 @@ def cmd_score(args) -> int:
         print(f"corrsets score: error: --estimator {args.estimator}: {exc}",
               file=sys.stderr)
         return EXIT_USAGE
-    fields = {
-        "members": [dataset.attributes[i].name for i in score.members],
-        "estimator": args.estimator,
-        "entropy_sum": score.entropy_sum,
-        "entropy_max": score.entropy_max,
-        "joint_entropy": score.joint_entropy,
-        "total_correlation": score.total_correlation,
-        "normalizer": score.normalizer,
-        "correction": score.correction,
-        "plugin_score": score.plugin_score,
-        "corrected_score": score.corrected_score,
-    }
+    fields = {"members": [dataset.attributes[i].name for i in score.members],
+              "estimator": args.estimator,
+              **{key: value for key, value in dataclasses.asdict(score).items()
+                 if key != "members"}}
     for key, value in fields.items():
         if isinstance(value, float):
             print(f"{key:<18} {value:.6f}")

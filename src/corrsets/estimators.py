@@ -23,6 +23,7 @@ the choice of base.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
@@ -207,9 +208,13 @@ def expected_mi_permutation(row_marginals, col_marginals, n: int) -> float:
 
         sum_{i,j} sum_c (c/n) log2(n c / (a_i b_j)) P_hyp(c; n, a_i, b_j)
 
-    with c running over max(0, a_i + b_j - n) .. min(a_i, b_j). Probabilities
-    are evaluated in log space from a factorial table, so the computation is
-    overflow-free for large n.
+    with c running over max(1, a_i + b_j - n) .. min(a_i, b_j) (c = 0 adds
+    nothing). A term depends only on (a_i, b_j), so the sum runs over the
+    distinct nonzero counts of each marginal, ascending, each term weighted
+    by how often its pair occurs: the bits depend only on the two count
+    multisets, and the cost on the number of distinct counts, not cells.
+    Probabilities are evaluated in log space from a factorial table, so the
+    computation is overflow-free for large n.
     """
     a, b = np.asarray(row_marginals), np.asarray(col_marginals)
     if any(not np.all(np.isfinite(m) & (m >= 0)) or np.any(m % 1) for m in (a, b)):
@@ -217,29 +222,16 @@ def expected_mi_permutation(row_marginals, col_marginals, n: int) -> float:
     a, b = a.astype(np.int64), b.astype(np.int64)
     if a.sum() != n or b.sum() != n:
         raise ValueError("marginal sums must both equal n")
-    lf = _log_factorials(n)
-    log2n = math.log2(n)
-    total = 0.0
-    for ai in a:
-        ai = int(ai)
-        if ai == 0:
-            continue
-        base_a = lf[ai] + lf[n - ai]
-        log2a = math.log2(ai)
-        for bj in b:
-            bj = int(bj)
-            if bj == 0:
-                continue
-            lo = max(1, ai + bj - n)
-            hi = min(ai, bj)
-            if hi < lo:
-                continue  # only c = 0 is feasible; it contributes nothing
-            cs = np.arange(lo, hi + 1, dtype=np.int64)
-            log_p = (base_a + lf[bj] + lf[n - bj] - lf[n]) - (
-                lf[cs] + lf[ai - cs] + lf[bj - cs] + lf[n - ai - bj + cs]
-            )
-            terms = (cs / n) * (np.log2(cs) + log2n - log2a - math.log2(bj))
-            total += float(np.dot(terms, np.exp(log_p)))
+    lf, total = _log_factorials(n), 0.0
+    # (count, multiplicity) pairs of each marginal
+    a, b = (zip(*(v.tolist() for v in np.unique(m[m > 0], return_counts=True)))
+            for m in (a, b))
+    for (ai, at), (bj, bt) in itertools.product(a, b):
+        cs = np.arange(max(1, ai + bj - n), min(ai, bj) + 1)
+        log_p = (lf[ai] + lf[n - ai] + lf[bj] + lf[n - bj] - lf[n]) - (
+            lf[cs] + lf[ai - cs] + lf[bj - cs] + lf[n - ai - bj + cs])
+        terms = (cs / n) * (np.log2(cs) + math.log2(n) - math.log2(ai) - math.log2(bj))
+        total += at * bt * float(np.dot(terms, np.exp(log_p)))
     return max(total, 0.0)
 
 
@@ -316,14 +308,15 @@ def _max_correction_bits(dataset, estimator: str):
     sum of steps over the orderings of S. It recurses over prefix sets,
     best(S) = max over x in S of best(S - x) + step(S - x, x), which float
     monotonicity makes bit-equal to the maximum of all |S|! sums. It holds
-    at most 2^m - 2 prefix partitions."""
+    at most 2^m - 2 prefix partitions, the singletons among them."""
     n, attrs = dataset.n, dataset.attributes
 
-    def step(part, attr):
+    def step(prefix: frozenset, x: int) -> float:
+        # a singleton's cells are its attribute's codes: cell_count is domain_size
+        part, single = partition(prefix), partition(frozenset({x}))
         if estimator == "upper":
-            return m0_upper(part.cell_count, attr.domain_size, n)
-        return expected_mi_permutation(
-            part.cell_counts, np.bincount(attr.codes, minlength=attr.domain_size), n)
+            return m0_upper(part.cell_count, single.cell_count, n)
+        return expected_mi_permutation(part.cell_counts, single.cell_counts, n)
 
     @cache
     def partition(prefix: frozenset) -> RowPartition:
@@ -336,8 +329,7 @@ def _max_correction_bits(dataset, estimator: str):
     def best(members: frozenset) -> float:
         if len(members) == 1:
             return 0.0
-        return max(best(members - {x}) + step(partition(members - {x}), attrs[x])
-                   for x in members)
+        return max(best(members - {x}) + step(members - {x}, x) for x in members)
 
     return best
 

@@ -135,12 +135,8 @@ class SearchStats:
 
     def finish(self, d: int, store: TopKStore, started: float) -> "SearchStats":
         self.wall_time = time.perf_counter() - started
-        # 100 - 100*q/2^d; log space beyond 60 attributes where 2^d overflows
-        if d <= 60:
-            visited_fraction = self.nodes_explored / 2**d
-        else:
-            visited_fraction = 2.0 ** (math.log2(max(self.nodes_explored, 1)) - d)
-        self.prune_percent = 100.0 * (1.0 - visited_fraction)
+        # int / int is correctly rounded at any d: it never overflows
+        self.prune_percent = 100.0 * (1.0 - self.nodes_explored / 2**d)
         if store.results:
             self.solution_depth = len(store.results[0][0])
         return self
@@ -239,9 +235,10 @@ def branch_and_bound(
             part = ctx.partition_of(node.members)
         else:
             stored -= _nbytes(part)
-        # every child is offered before any is pushed; the budget is checked
-        # after every child, so one wide expansion cannot overrun it
-        children = []
+        # each child is pushed as soon as it passes; the threshold only
+        # rises, so one that a later sibling beats is pruned at the heap-top
+        # cutoff. The budget is checked after every child, so one wide
+        # expansion cannot overrun it
         for child, child_part in _children(ctx, node, part):
             stats.nodes_explored += 1
             stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
@@ -250,21 +247,15 @@ def branch_and_bound(
                 # both bounds are 1 below depth 2, and bound_ref <= bound_mon
                 potential = min(bound_mon(child), bound_ref(child, ctx))
                 if not alpha * potential > store.threshold():
-                    stats.nodes_pruned += 1  # the threshold only rises
-                else:
-                    child_part.cell_of_row  # numbered now, so no keys are kept
-                    children.append((potential, child, child_part))
+                    stats.nodes_pruned += 1
+                else:  # _nbytes numbers the rows, so the heap holds no int64 keys
+                    if stored + _nbytes(child_part) > PARTITION_STORE_BYTES:
+                        child_part = None  # rebuilt from the root when popped
+                    else:
+                        stored += _nbytes(child_part)
+                    heapq.heappush(heap, (-potential, child.members, child, child_part))
             if out_of_time():
                 break
-        for potential, child, child_part in children:
-            if not alpha * potential > store.threshold():
-                stats.nodes_pruned += 1
-                continue
-            if stored + _nbytes(child_part) > PARTITION_STORE_BYTES:
-                child_part = None  # rebuilt from the root when popped
-            else:
-                stored += _nbytes(child_part)
-            heapq.heappush(heap, (-potential, child.members, child, child_part))
     return store, stats.finish(ctx.d, store, started)
 
 

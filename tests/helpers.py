@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's computation paths: entropy
 and mutual information are recomputed from Counters with math.log2,
 population scores from marginals built as dicts and added with
 math.fsum, the permutation-model expectation is averaged over explicitly
-enumerated permutations, and ordering maxima are taken by brute force.
+enumerated permutations (or, where n! is too many, summed cell pair by
+cell pair from math.lgamma), and ordering maxima are taken by brute force.
 """
 
 from __future__ import annotations
@@ -73,6 +74,25 @@ def oracle_permutation_mean_mi(row_marginals, col_marginals) -> float:
         total += oracle_mi(xs, [ys[p] for p in perm])
         count += 1
     return total / count
+
+
+def oracle_hypergeometric_mean_mi(row_marginals, col_marginals) -> float:
+    """The same mean at sizes too large to enumerate: one hypergeometric
+    sum per pair of cells, term by term with math.lgamma, added with
+    math.fsum."""
+    n = sum(row_marginals)
+    assert sum(col_marginals) == n
+
+    def log_choose(top, k):
+        return math.lgamma(top + 1) - math.lgamma(k + 1) - math.lgamma(top - k + 1)
+
+    terms = []
+    for a in row_marginals:
+        for b in col_marginals:
+            for c in range(max(1, a + b - n), min(a, b) + 1):
+                log_p = log_choose(b, c) + log_choose(n - b, a - c) - log_choose(n, a)
+                terms.append(c / n * math.log2(n * c / (a * b)) * math.exp(log_p))
+    return math.fsum(terms)
 
 
 def oracle_relaxed_correction_max(domain_sizes, n: int) -> float:

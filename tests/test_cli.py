@@ -153,6 +153,8 @@ class TestDiscover:
     (["regret", "--json", "{tmp}/missing/r.json"], 2),
     (["discover", "--input", "{tmp}/absent.csv", "--json", ""], 1),
     (["chance", "--d", "3", "--n", "20", "--json", ""], 1),
+    (["chance", "--seed", "-1"], 1),
+    (["regret", "--seed", "-1"], 1),
 ])
 def test_error_contract(argv, code, tmp_path, capsys):
     """Bad values exit 1 at parse time, and unreadable input or an output

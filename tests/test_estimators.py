@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrsets import estimators
@@ -24,6 +24,7 @@ from corrsets.estimators import (
 from corrsets.search import branch_and_bound
 from helpers import (
     chain_mi_sum,
+    oracle_hypergeometric_mean_mi,
     oracle_ordering_max,
     oracle_permutation_mean_mi,
     oracle_relaxed_correction_max,
@@ -301,6 +302,18 @@ class TestDeferredNumbering:
         assert part.cell_counts.sum() == self.n
 
 
+@st.composite
+def marginal_pairs(draw):
+    """Two positive count vectors of 1-8 cells with the same sum n, and
+    each of them again, permuted and padded with up to 3 zero counts."""
+    a = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    n = sum(a)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=7))) if n > 1 else []
+    b = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, n])]
+    moved = [draw(st.permutations(m + [0] * draw(st.integers(0, 3)))) for m in (a, b)]
+    return a, b, n, *moved
+
+
 class TestExpectedMiPermutation:
     def test_constant_variable_is_zero(self):
         assert expected_mi_permutation([4], [2, 2], 4) == 0.0
@@ -341,6 +354,23 @@ class TestExpectedMiPermutation:
         value = expected_mi_permutation([500_000, 500_000], [999_999, 1], 1_000_000)
         assert 0.0 <= value < 1e-4
 
+    def test_matches_hypergeometric_reference_medium_n(self):
+        # n! is far too many permutations to enumerate here
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(50, 2001))
+            a, b = (np.bincount(rng.integers(0, rng.integers(2, 9), n)) for _ in "ab")
+            a, b = a[a > 0], b[b > 0]
+            want = oracle_hypergeometric_mean_mi(a.tolist(), b.tolist())
+            assert expected_mi_permutation(a, b, n) == pytest.approx(want, rel=1e-10)
+
+    @given(marginals=marginal_pairs())
+    @example(marginals=([1, 2, 3], [3, 1, 2], 6, [0, 3, 2, 1], [2, 1, 3, 0]))
+    @settings(max_examples=150, deadline=None)
+    def test_bits_depend_on_count_multisets_only(self, marginals):
+        a, b, n, a_moved, b_moved = marginals
+        assert (expected_mi_permutation(a_moved, b_moved, n)
+                == expected_mi_permutation(a, b, n))
 
 class TestM0Bounds:
     def test_constant_variable_zero(self):
@@ -421,7 +451,8 @@ class TestOracleCorrections:
         # m0_upper reads only the prefix's cell count, which no ordering
         # changes, so upper equals the brute-force maximum bit for bit, up
         # to the 8-member cap; the oracle lists exact's cell counts in
-        # another order, so exact agrees within 1e-12
+        # another order, which its grouped sum does not see, and exact
+        # agrees within 1e-12
         def upper(n):
             return lambda counts, attr: m0_upper(len(counts), attr.domain_size, n)
 

@@ -15,6 +15,7 @@ from corrsets.estimators import RowPartition, SubsetScore, refine_partition, sco
 from corrsets.search import (
     SearchContext,
     SearchNode,
+    SearchStats,
     TopKStore,
     bound_mon,
     bound_ref,
@@ -264,6 +265,13 @@ class TestBranchAndBound:
             100 - 100 * stats.nodes_explored / 2**7, abs=1e-9
         )
 
+    @pytest.mark.parametrize("d", [61, 200, 1100])
+    @pytest.mark.parametrize("explored", [1, 545, 10**40])
+    def test_prune_percent_beyond_float_range(self, d, explored):
+        # 2**1100 has no float; int / int still divides exactly rounded
+        stats = SearchStats(nodes_explored=explored).finish(d, TopKStore(1), 0.0)
+        assert stats.prune_percent == 100 * (1 - explored / 2**d)
+
     def test_budget_flags_incomplete(self):
         rng = np.random.default_rng(26)
         ds = random_dataset(rng, d=10, n=100)
@@ -485,9 +493,9 @@ class TestNumberingCounts:
         monkeypatch.setattr(search, "TopKStore", Recording)
         (_, stats), counts = counted(branch_and_bound, ds, k=3, alpha=alpha)
         assert counts["refine"] == stats.nodes_explored - 1
-        # a passing child is numbered at once, and pushed unless the
-        # threshold rises past it before the expansion ends
-        assert 0 < counts["push"] <= counts["number"] == sum(passed) < counts["refine"]
+        # a passing child is numbered and pushed at once; one that a later
+        # sibling beats waits in the heap until the cutoff prunes it
+        assert 0 < counts["push"] == counts["number"] == sum(passed) < counts["refine"]
 
     def test_exhaustive_numbers_every_subset_without_the_last_rank(self):
         ds = random_dataset(np.random.default_rng(5), d=10, n=60)
