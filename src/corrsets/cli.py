@@ -178,13 +178,14 @@ def _load_dataset(args):
             f"need at least 2 attributes, found {dataset.d}"
             + (" after dropping constants" if args.drop_constant else "")
         )
-    return dataset
+    return dataset, table.rejected_rows
 
 
-def _dataset_summary(dataset) -> dict:
+def _dataset_summary(dataset, rejected_rows: int) -> dict:
     return {
         "n": dataset.n,
         "d": dataset.d,
+        "rejected_rows": rejected_rows,
         "attributes": [
             {"name": a.name, "domain_size": a.domain_size, "entropy": a.entropy}
             for a in dataset.attributes
@@ -221,7 +222,7 @@ def _write_json(path, report) -> None:
 
 
 def cmd_discover(args) -> int:
-    dataset = _load_dataset(args)
+    dataset, rejected_rows = _load_dataset(args)
     if args.algo == "bnb":
         store, stats = branch_and_bound(
             dataset, k=args.k, alpha=args.alpha, budget=args.budget
@@ -239,7 +240,7 @@ def cmd_discover(args) -> int:
             "drop_constant": args.drop_constant,
             "budget": args.budget,
         },
-        "dataset": _dataset_summary(dataset),
+        "dataset": _dataset_summary(dataset, rejected_rows),
         "results": records,
         "stats": {key: value for key, value in dataclasses.asdict(stats).items()
                   if key != "wall_time"},
@@ -270,7 +271,7 @@ def cmd_discover(args) -> int:
 
 
 def cmd_score(args) -> int:
-    dataset = _load_dataset(args)
+    dataset, _ = _load_dataset(args)
     names = [tok.strip() for tok in args.attr_set.split(",") if tok.strip()]
     members = [dataset.index_of(name) for name in names]
     if len(members) < 2:

@@ -9,9 +9,11 @@ correction term is a function of the empirical table.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -127,6 +129,94 @@ def parse_csv(data: bytes | str, has_header: bool = True) -> RawTable:
     row's, raises a ParseError naming the line. Rows containing empty fields
     are dropped and counted.
     """
+    table = _parse_plain(data, has_header)
+    return _parse_reader(data, has_header) if table is None else table
+
+
+_CHUNK_BYTES = 1 << 20  # the plain path decodes and splits this much at a time
+
+
+def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
+    """Split plain CSV column-wise, or return None to leave it to
+    ``_parse_reader``; never raises.
+
+    Plain means UTF-8 with no quote, NUL or bare CR, a first line that is
+    not blank, every other line blank or holding as many fields as the
+    first, and no line longer than ``csv.field_size_limit()``. As in
+    ``_parse_reader``, blank lines are skipped and rows with an empty field
+    are dropped and counted, each in the chunk that holds it; a
+    single-column file with either falls back, since there the two look the
+    same. On plain input the table equals the one ``_parse_reader`` gives.
+    The text is split in chunks cut after a line feed, so no per-row list
+    is built and the whole token list never exists at once. Only ``"\\n"``
+    splits lines: ``str.splitlines`` would also split on characters that
+    csv keeps inside a field.
+    """
+    if isinstance(data, str):
+        try:
+            data = data.encode()
+        except UnicodeEncodeError:  # a lone surrogate
+            return None
+    data = data.removeprefix(codecs.BOM_UTF8)
+    if (b'"' in data or b"\0" in data  # csv before 3.11 refuses NUL
+            or data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    stop = len(data)
+    while stop and data[stop - 1] in b"\r\n":  # csv skips trailing blank lines
+        stop -= 1
+    if not stop:
+        return None
+    limit = csv.field_size_limit()
+    columns = None
+    rejected = 0
+    start = 0
+    while start < stop:
+        end = data.find(b"\n", start + _CHUNK_BYTES, stop) + 1 or stop
+        try:
+            text = data[start:end].replace(b"\r\n", b"\n").decode()
+        except UnicodeDecodeError:
+            return None
+        header = int(has_header and start == 0)
+        start = end
+        text = text.removesuffix("\n")
+        lines = text.split("\n")
+        if max(map(len, lines)) > limit:
+            return None
+        if columns is None:
+            first = lines[0].split(",")
+            if has_header and len(set(first)) != len(first):
+                return None  # duplicate names
+            columns = [[] for _ in first]
+        d = len(columns)
+        if set(map(str.count, lines, repeat(","))) != {d - 1}:
+            lines = [line for line in lines if line]  # csv skips blank lines
+            if set(map(str.count, lines, repeat(","))) - {d - 1}:
+                return None
+        tokens = text.replace("\n", ",").split(",")
+        del text
+        if "" in tokens:  # an empty field or a blank line
+            if d == 1:  # where the two look the same
+                return None
+            rows = len(lines)
+            lines[header:] = [line for line in lines[header:]
+                              if ",," not in f",{line},"]
+            rejected += rows - len(lines)
+            tokens = ",".join(lines).split(",") if lines else []
+        del lines
+        for j, column in enumerate(columns):
+            column += tokens[j::d]
+    if has_header:
+        names = tuple(column.pop(0) for column in columns)
+    else:
+        names = tuple(f"X{j + 1}" for j in range(d))
+    for j, column in enumerate(columns):
+        columns[j] = tuple(column)  # frees each list as soon as it is copied
+    return RawTable(column_names=names, columns=tuple(columns),
+                    row_count=len(columns[0]), rejected_rows=rejected)
+
+
+def _parse_reader(data: bytes | str, has_header: bool) -> RawTable:
+    """``parse_csv`` through ``csv.reader``: any input, every error."""
     reader = csv.reader(
         io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
         if isinstance(data, bytes)

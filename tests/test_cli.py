@@ -48,6 +48,18 @@ class TestDiscover:
         captured = capsys.readouterr()
         assert "rank" in captured.out
 
+    def test_report_counts_rejected_rows(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["discover", "--input", str(small_csv), "--json", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["dataset"]["rejected_rows"] == 0
+        assert "note:" not in capsys.readouterr().err
+        text = small_csv.read_text(encoding="utf-8")
+        small_csv.write_text(text + "v1,,u0\n,w2,u1\n", encoding="utf-8")
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["dataset"]["rejected_rows"] == 2
+        assert capsys.readouterr().err == "note: dropped 2 rows with empty fields\n"
+
     def test_greedy_algo(self, small_csv):
         rc = main(["discover", "--input", str(small_csv), "--algo", "greedy"])
         assert rc == 0

@@ -1,19 +1,49 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corrsets import data as data_module
 from corrsets.data import (
     DataError,
     EncodedDataset,
     ParseError,
     RawTable,
+    _parse_reader,
     discretize_equal_frequency,
     encode,
     parse_csv,
 )
+
+# characters that csv keeps inside a field (str.splitlines splits on some of
+# them), then the ones that make a file not plain
+FIELD_CHARS = "xy\u00e9\U0001d11e\x0b\x0c\x1e\x85\u2028\ufeff "
+ANY_CHARS = FIELD_CHARS + ',\n\r"\x00\ud800'
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly rectangular files, with the odd special character or line."""
+    d = draw(st.integers(1, 3))
+    field = st.text(st.sampled_from(FIELD_CHARS), max_size=3)
+    line = st.one_of(
+        st.lists(field, min_size=d, max_size=d).map(",".join),
+        st.text(st.sampled_from(ANY_CHARS), max_size=4),
+    )
+    lines = draw(st.lists(line, min_size=1, max_size=6))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def parsed(parse, data, has_header):
+    try:
+        return parse(data, has_header)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
 
 
 class TestParseCsv:
@@ -73,6 +103,49 @@ class TestParseCsv:
         big = "x" * (csv.field_size_limit() + 1)
         with pytest.raises(ParseError, match="line 3"):
             parse_csv(f"a,b\nx,1\n{big},2\n")
+
+    @given(
+        text=st.one_of(csv_texts(), st.text(st.sampled_from(ANY_CHARS), max_size=12)),
+        as_bytes=st.booleans(),
+        has_header=st.booleans(),
+        chunk=st.one_of(st.integers(1, 8), st.just(data_module._CHUNK_BYTES)),
+    )
+    @example(text="\n", as_bytes=False, has_header=True, chunk=1 << 20)
+    @example(text="\nab\ncd", as_bytes=False, has_header=True, chunk=1 << 20)
+    @example(text="\ud800", as_bytes=False, has_header=True, chunk=1 << 20)
+    # rows with empty fields in several chunks, the header's own kept
+    @example(text="a,\r\nx,\r\n,y\r\nz,w\r\nu,v\r\n,\r\n",
+             as_bytes=True, has_header=True, chunk=1)
+    @example(text=",b\nx,\nz,w\n,y\n", as_bytes=False, has_header=False, chunk=4)
+    @example(text="a,b\n,\n,y\n", as_bytes=False, has_header=True, chunk=1)
+    @example(text="a\nx\n\ny\n", as_bytes=False, has_header=True, chunk=2)
+    # blank lines, skipped inside and across chunks, but not before the header
+    @example(text="a,b\n\nx,y\r\n\r\n\n,z\n\nu,v\n", as_bytes=True,
+             has_header=True, chunk=2)
+    @example(text="\na,b\nx,y\n", as_bytes=False, has_header=False, chunk=1)
+    @example(text="a,b\n\nx\n", as_bytes=False, has_header=True, chunk=8)
+    @example(text="a,a\nx,y\n", as_bytes=False, has_header=True, chunk=1)
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_csv_reader(self, text, as_bytes, has_header, chunk):
+        data = text.encode("utf-8", "surrogatepass") if as_bytes else text
+        with mock.patch.object(data_module, "_CHUNK_BYTES", chunk):
+            assert parsed(parse_csv, data, has_header) == parsed(
+                _parse_reader, data, has_header)
+
+    def test_plain_csv_skips_csv_reader(self, monkeypatch, ttt_csv, ttt_table):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        text = "a,b\r\nx,1\r\ny,2\r\n\r\n"  # csv skips the blank last line
+        expected = _parse_reader(text, True)
+        assert expected == RawTable(("a", "b"), (("x", "y"), ("1", "2")), 2)
+        monkeypatch.setattr(csv, "reader", refuse)
+        assert parse_csv(text) == parse_csv(text.encode()) == expected
+        assert parse_csv(ttt_csv.read_bytes()) == ttt_table
+        text = "a,b\nx,\n\ny,2\n,3\n"  # a blank line, rows with empty fields
+        assert parse_csv(text) == RawTable(("a", "b"), (("y",), ("2",)), 1, 2)
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            parse_csv('a,b\r\n"x",1\r\n')
 
 
 class TestDiscretize:
