@@ -171,6 +171,10 @@ def _load_dataset(args):
     if cols not in ("auto", "none"):
         cols = [c for c in cols.split(",") if c]
     dataset = encode(table, bins=args.bins, numeric_cols=cols)
+    for a in dataset.attributes:
+        if a.non_finite:
+            print(f"note: kept column {a.name!r} categorical: it holds a non-finite number",
+                  file=sys.stderr)
     if args.drop_constant:
         dataset = dataset.drop_constant()
     if dataset.d < 2:
@@ -187,7 +191,8 @@ def _dataset_summary(dataset, rejected_rows: int) -> dict:
         "d": dataset.d,
         "rejected_rows": rejected_rows,
         "attributes": [
-            {"name": a.name, "domain_size": a.domain_size, "entropy": a.entropy}
+            {"name": a.name, "kind": a.kind, "domain_size": a.domain_size,
+             "entropy": a.entropy}
             for a in dataset.attributes
         ],
     }

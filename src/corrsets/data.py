@@ -12,10 +12,11 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .estimators import _dense, entropy
 
@@ -41,11 +42,12 @@ class ParseError(DataError):
 
 @dataclass(frozen=True)
 class RawTable:
-    """Column-major text table. ``rejected_rows`` counts rows dropped for
-    containing empty fields (missing values are not imputed)."""
+    """Column-major text table. Each column is a sequence of tokens equal to
+    the tuple of them. ``rejected_rows`` counts rows dropped for containing
+    empty fields (missing values are not imputed)."""
 
     column_names: tuple[str, ...]
-    columns: tuple[tuple[str, ...], ...]
+    columns: tuple[Sequence[str], ...]
     row_count: int
     rejected_rows: int = 0
 
@@ -53,12 +55,17 @@ class RawTable:
 @dataclass(frozen=True, eq=False)
 class Attribute:
     """One encoded column: dense codes in [0, domain_size) plus its
-    observed domain size and plug-in entropy in bits."""
+    observed domain size and plug-in entropy in bits. ``kind`` says whether
+    ``encode`` binned the column's numbers ("binned") or coded its tokens
+    ("categorical"); ``non_finite`` marks a column that "auto" left
+    categorical because its numbers include a non-finite one."""
 
     name: str
     codes: np.ndarray
     domain_size: int
     entropy: float
+    kind: str = "categorical"
+    non_finite: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +116,8 @@ class EncodedDataset:
         return cls(attributes=tuple(attrs), n=n)
 
 
-def _make_attribute(name: str, codes: np.ndarray, n: int) -> Attribute:
+def _make_attribute(name: str, codes: np.ndarray, n: int, kind: str = "categorical",
+                    non_finite: bool = False) -> Attribute:
     low = int(codes.min(initial=0))  # from_codes takes negative codes too
     counts, number = _dense(codes - low, int(codes.max(initial=0)) - low + 1)
     return Attribute(
@@ -117,6 +125,8 @@ def _make_attribute(name: str, codes: np.ndarray, n: int) -> Attribute:
         codes=number(np.int64),
         domain_size=int(len(counts)),
         entropy=entropy(counts, n),
+        kind=kind,
+        non_finite=non_finite,
     )
 
 
@@ -133,86 +143,164 @@ def parse_csv(data: bytes | str, has_header: bool = True) -> RawTable:
     return _parse_reader(data, has_header) if table is None else table
 
 
-_CHUNK_BYTES = 1 << 20  # the plain path decodes and splits this much at a time
+_CHUNK_BYTES = 1 << 20  # the plain path checks and tokenizes this much at a time
+
+
+class _ByteTokens(Sequence):
+    """A column of tokens kept as byte spans ``buf[starts[i]:ends[i]]`` of
+    one UTF-8 buffer that all columns of a table share. It reads and
+    compares as the tuple of its tokens. ``encode`` codes a column of
+    tokens of at most 8 bytes from the bytes, without a string per token."""
+
+    def __init__(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+        self.buf, self.starts, self.ends = buf, starts, ends
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return self.buf[self.starts[i]:self.ends[i]].tobytes().decode()
+
+    def __iter__(self):
+        """Decode the whole column at once: gather every token and one
+        separator slot after it, write commas there, split the text. The
+        gather copies one padded row per token, unless padding would more
+        than double the bytes, as a few long tokens among short ones do:
+        then it gathers byte by byte, which is faster beyond about three
+        times and never needs more than a fixed multiple of the bytes."""
+        if not len(self):
+            return iter(())
+        lens = self.ends - self.starts
+        width = int(lens.max()) + 1
+        if len(self) * width <= 2 * int(lens.sum() + len(self)):
+            rows = sliding_window_view(self.buf, width)[self.starts]
+            rows[np.arange(len(self)), lens] = ord(",")
+            text = rows[np.arange(width) <= lens[:, None]]
+        else:
+            stops = np.cumsum(lens + 1)  # just past each token's separator slot
+            text = self.buf[np.repeat(self.starts - (stops - lens - 1), lens + 1)
+                            + np.arange(stops[-1])]
+            text[stops - 1] = ord(",")
+        return iter(text[:-1].tobytes().decode().split(","))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _ByteTokens)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def keys(self) -> np.ndarray | None:
+        """One ``uint64`` per token, equal exactly where the tokens are:
+        the token's bytes zero-padded to 8 (NUL is never in a plain token).
+        None when a token is longer than 8 bytes."""
+        lens = self.ends - self.starts
+        if lens.max(initial=0) > 8:
+            return None
+        # one unaligned little-endian read at each start
+        words = np.ndarray(len(self.buf) - 7, "<u8", self.buf, strides=(1,))
+        return words[self.starts] & _LOW_BYTES[lens]
+
+
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
-    """Split plain CSV column-wise, or return None to leave it to
+    """Tokenize plain CSV as bytes, or return None to leave it to
     ``_parse_reader``; never raises.
 
     Plain means UTF-8 with no quote, NUL or bare CR, a first line that is
-    not blank, every other line blank or holding as many fields as the
-    first, and no line longer than ``csv.field_size_limit()``. As in
-    ``_parse_reader``, blank lines are skipped and rows with an empty field
-    are dropped and counted, each in the chunk that holds it; a
-    single-column file with either falls back, since there the two look the
-    same. On plain input the table equals the one ``_parse_reader`` gives.
-    The text is split in chunks cut after a line feed, so no per-row list
-    is built and the whole token list never exists at once. Only ``"\\n"``
-    splits lines: ``str.splitlines`` would also split on characters that
-    csv keeps inside a field.
+    not blank, distinct header names, every other line blank or holding as
+    many fields as the first, and no field longer than
+    ``csv.field_size_limit()`` bytes. As in ``_parse_reader``, blank lines
+    are skipped and rows with an empty field are dropped and counted. On
+    plain input the table equals the one ``_parse_reader`` gives. The bytes
+    are walked in chunks cut after a line feed: each is checked as UTF-8,
+    and its field separators are found with one ``np.flatnonzero``. Each
+    column is a ``_ByteTokens`` over one padded copy of the input.
     """
     if isinstance(data, str):
         try:
             data = data.encode()
         except UnicodeEncodeError:  # a lone surrogate
             return None
-    data = data.removeprefix(codecs.BOM_UTF8)
     if (b'"' in data or b"\0" in data  # csv before 3.11 refuses NUL
             or data.count(b"\r") != data.count(b"\r\n")):
         return None
+    raw = np.frombuffer(data, dtype=np.uint8)
     stop = len(data)
     while stop and data[stop - 1] in b"\r\n":  # csv skips trailing blank lines
         stop -= 1
-    if not stop:
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if start >= stop:
         return None
     limit = csv.field_size_limit()
-    columns = None
-    rejected = 0
-    start = 0
+    offset = np.int32 if len(data) < 2**31 else np.int64
+    d = None
+    spans = []
+    width = rejected = 0
     while start < stop:
         end = data.find(b"\n", start + _CHUNK_BYTES, stop) + 1 or stop
         try:
-            text = data[start:end].replace(b"\r\n", b"\n").decode()
+            data[start:end].decode()
         except UnicodeDecodeError:
             return None
-        header = int(has_header and start == 0)
-        start = end
-        text = text.removesuffix("\n")
-        lines = text.split("\n")
-        if max(map(len, lines)) > limit:
+        chunk = raw[start:end]
+        newline = chunk == ord("\n")
+        seps = np.flatnonzero(newline | (chunk == ord(",")))
+        newline = newline[seps]
+        seps += start
+        if end == stop:  # the last line has no line feed left
+            seps = np.append(seps, stop)
+            newline = np.append(newline, True)
+        starts = np.concatenate(([start], seps[:-1] + 1))
+        # every CR is in a CRLF, so data[-1] is not one, and a field never
+        # ends in one: a CR before a separator ends a line
+        ends = seps - (raw[seps - 1] == ord("\r"))
+        lens = ends - starts
+        width = max(width, int(lens.max()))
+        if width > limit:
             return None
-        if columns is None:
-            first = lines[0].split(",")
-            if has_header and len(set(first)) != len(first):
-                return None  # duplicate names
-            columns = [[] for _ in first]
-        d = len(columns)
-        if set(map(str.count, lines, repeat(","))) != {d - 1}:
-            lines = [line for line in lines if line]  # csv skips blank lines
-            if set(map(str.count, lines, repeat(","))) - {d - 1}:
+        line_ends = np.flatnonzero(newline)
+        fields = np.diff(line_ends, prepend=-1)
+        blank = (fields == 1) & (lens[line_ends] == 0)
+        if d is None:
+            if blank[0]:
                 return None
-        tokens = text.replace("\n", ",").split(",")
-        del text
-        if "" in tokens:  # an empty field or a blank line
-            if d == 1:  # where the two look the same
-                return None
-            rows = len(lines)
-            lines[header:] = [line for line in lines[header:]
-                              if ",," not in f",{line},"]
-            rejected += rows - len(lines)
-            tokens = ",".join(lines).split(",") if lines else []
-        del lines
-        for j, column in enumerate(columns):
-            column += tokens[j::d]
-    if has_header:
-        names = tuple(column.pop(0) for column in columns)
-    else:
+            d = int(fields[0])
+            if has_header:
+                names = tuple(data[s:e].decode() for s, e in zip(starts[:d], ends[:d]))
+                if len(set(names)) != d:
+                    return None  # duplicate names
+        if ((fields != d) & ~blank).any():
+            return None
+        if blank.any():  # csv skips blank lines
+            kept = np.repeat(~blank, fields)
+            starts, ends, lens = starts[kept], ends[kept], lens[kept]
+        starts, ends = starts.reshape(-1, d), ends.reshape(-1, d)
+        empty = (lens.reshape(-1, d) == 0).any(axis=1)
+        empty[:int(has_header and not spans)] = False  # the header row stays
+        if empty.any():
+            rejected += int(empty.sum())
+            starts, ends = starts[~empty], ends[~empty]
+        spans.append((starts.astype(offset), ends.astype(offset)))
+        start = end
+    starts, ends = (np.concatenate(side)[int(has_header):] for side in zip(*spans))
+    if not has_header:
         names = tuple(f"X{j + 1}" for j in range(d))
-    for j, column in enumerate(columns):
-        columns[j] = tuple(column)  # frees each list as soon as it is copied
-    return RawTable(column_names=names, columns=tuple(columns),
-                    row_count=len(columns[0]), rejected_rows=rejected)
+    buf = np.zeros(len(data) + max(width, 8), dtype=np.uint8)  # keys read 8+ bytes
+    buf[:len(data)] = raw
+    return RawTable(
+        column_names=names,
+        columns=tuple(_ByteTokens(buf, starts[:, j], ends[:, j]) for j in range(d)),
+        row_count=len(starts), rejected_rows=rejected,
+    )
 
 
 def _parse_reader(data: bytes | str, has_header: bool) -> RawTable:
@@ -265,9 +353,10 @@ def discretize_equal_frequency(values, bins: int) -> np.ndarray:
     A column with at most ``bins`` distinct values is not cut: each value
     keeps a code of its own, in ascending value order. Otherwise group
     sizes before tie handling differ by at most one. All occurrences of a
-    tied value take the group of its lowest stable-sort rank (the lower
-    bin), so the returned code is a function of the value; codes are then
-    compacted to remove bins emptied by that rule.
+    tied value take the group of the first sorted position of that value
+    (the lower bin), so the returned code is a function of the value and
+    does not depend on how the sort orders ties; codes are then compacted
+    to remove bins emptied by that rule.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
@@ -277,7 +366,7 @@ def discretize_equal_frequency(values, bins: int) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise DataError("cannot discretize non-finite values")
     n = vals.size
-    order = np.argsort(vals, kind="stable")
+    order = np.argsort(vals)
     sorted_vals = vals[order]
     is_first = np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
     value_of_rank = np.cumsum(is_first) - 1
@@ -295,19 +384,40 @@ def discretize_equal_frequency(values, bins: int) -> np.ndarray:
 
 
 def _floats(column, name: str) -> np.ndarray:
-    """Parse every token of a column as a finite float, each token once."""
-    try:
-        values = np.fromiter(map(float, column), dtype=np.float64, count=len(column))
-    except ValueError:
-        for tok in column:
-            try:
-                float(tok)
-            except ValueError:
-                raise DataError(f"column {name!r}: non-numeric value {tok!r}") from None
-        raise
-    if not np.isfinite(values).all():
-        raise DataError(f"column {name!r}: non-finite numeric value")
+    """Parse a column's tokens as floats. A text column fails on its first
+    token, so the rest of it is never read or decoded."""
+    for tokens in ((column[0],), column):
+        try:
+            values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+        except ValueError:
+            for tok in tokens:
+                try:
+                    float(tok)
+                except ValueError:
+                    raise DataError(f"column {name!r}: non-numeric value {tok!r}") from None
+            raise
     return values
+
+
+def _first_occurrence_codes(column) -> np.ndarray:
+    """Code each token by the rank of its first occurrence in the column."""
+    keys = column.keys() if isinstance(column, _ByteTokens) else None
+    if keys is None:
+        mapping: dict[str, int] = {}
+        return np.fromiter((mapping.setdefault(tok, len(mapping)) for tok in column),
+                           count=len(column), dtype=np.int64)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    firsts = np.flatnonzero(new)
+    first_row = np.minimum.reduceat(order, firsts)  # whatever order ties sorted in
+    rank = np.empty(len(firsts), dtype=np.int64)
+    rank[np.argsort(first_row)] = np.arange(len(firsts))
+    codes = np.empty(len(keys), dtype=np.int64)
+    codes[order] = rank[np.cumsum(new) - 1]
+    return codes
 
 
 def encode(table: RawTable, bins: int = 5, numeric_cols="auto") -> EncodedDataset:
@@ -317,7 +427,9 @@ def encode(table: RawTable, bins: int = 5, numeric_cols="auto") -> EncodedDatase
     equal-frequency binned: "auto" bins every column of finite numbers,
     "none" bins nothing, and a list of names bins those columns, each of
     which must hold finite numbers only. Other columns, numerals included,
-    map to codes in first-occurrence order of their tokens.
+    map to codes in first-occurrence order of their tokens. Each attribute
+    records which of the two it got; a column of numbers that "auto" left
+    categorical for a non-finite value is marked ``non_finite``.
     """
     if table.row_count < 2:
         raise DataError("need at least 2 rows: correction terms divide by n - 1")
@@ -328,20 +440,22 @@ def encode(table: RawTable, bins: int = 5, numeric_cols="auto") -> EncodedDatase
         raise DataError(f"unknown numeric columns: {sorted(unknown)}")
     attrs = []
     for name, column in zip(table.column_names, table.columns):
-        codes = None
+        values = None
         if auto or name in numeric:
             try:
                 values = _floats(column, name)
             except DataError:
                 if not auto:
                     raise  # a named column must parse; under auto it stays categorical
-            else:
-                codes = discretize_equal_frequency(values, bins)
-        if codes is None:
-            mapping: dict[str, int] = {}
-            codes = np.fromiter(
-                (mapping.setdefault(tok, len(mapping)) for tok in column),
-                count=len(column), dtype=np.int64,
-            )
-        attrs.append(_make_attribute(name, codes, table.row_count))
+        if values is None:
+            codes = _first_occurrence_codes(column)
+            attrs.append(_make_attribute(name, codes, table.row_count))
+        elif np.isfinite(values).all():
+            codes = discretize_equal_frequency(values, bins)
+            attrs.append(_make_attribute(name, codes, table.row_count, kind="binned"))
+        elif auto:
+            codes = _first_occurrence_codes(column)
+            attrs.append(_make_attribute(name, codes, table.row_count, non_finite=True))
+        else:
+            raise DataError(f"column {name!r}: non-finite numeric value")
     return EncodedDataset(attributes=tuple(attrs), n=table.row_count)

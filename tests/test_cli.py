@@ -3,9 +3,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from corrsets import cli
+from corrsets import data as data_module
 from corrsets.cli import main
 from helpers import src_env
 
@@ -128,12 +130,62 @@ class TestDiscover:
                    report["dataset"]["attributes"]}
         assert domains == {"x": 4, "y": 4}
 
+    def test_report_records_kind_and_non_finite_note(self, tmp_path, capsys):
+        path = tmp_path / "kinds.csv"
+        rows = ["x,t,z"] + [f"{i},v{i % 3},{'nan' if i == 7 else i % 5}" for i in range(40)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "kinds.json"
+        assert main(["discover", "--input", str(path), "--json", str(out)]) == 0
+        attrs = json.loads(out.read_text())["dataset"]["attributes"]
+        assert [(a["name"], a["kind"]) for a in attrs] == [
+            ("x", "binned"), ("t", "categorical"), ("z", "categorical")]
+        assert capsys.readouterr().err == (
+            "note: kept column 'z' categorical: it holds a non-finite number\n")
+        argv = ["discover", "--input", str(path), "--numeric-cols", "none"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
     def test_deterministic_reports(self, small_csv, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         argv = ["discover", "--input", str(small_csv), "--k", "4", "--json"]
         assert main(argv + [str(out1)]) == 0
         assert main(argv + [str(out2)]) == 0
         assert strip_timing(out1) == strip_timing(out2)
+
+
+def discover_like_csv(path, n=600):
+    """A seeded table shaped like the benchmark's discover input: ID-like
+    and categorical text columns, numeric columns, and a few empty fields."""
+    rng = np.random.default_rng(7)
+    user = rng.integers(0, 120, n)
+    region = rng.integers(0, 6, n)
+    columns = {
+        "user_id": [f"u{v:04d}" for v in user],
+        "region": [f"reg_{'abcdef'[v]}" for v in region],
+        "channel": [f"cha_{'abcd'[(v * 7 + 3) % 4]}" for v in region],
+        "amount": [f"{v:.6f}" for v in rng.random(n) * 100 + region],
+        "score": [f"{v:.6f}" for v in rng.random(n) * 10],
+    }
+    columns["score"][5] = columns["region"][9] = ""
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*columns.values())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("algo", ["greedy", "bnb"])
+def test_plain_path_reports_like_csv_reader(algo, ttt_csv, tmp_path, monkeypatch, capsys):
+    like = discover_like_csv(tmp_path / "like.csv")
+    runs = []
+    for plain in (True, False):
+        if not plain:
+            monkeypatch.setattr(data_module, "_parse_plain", lambda *args: None)
+        for path in (like, ttt_csv):
+            out = tmp_path / f"{plain}-{path.stem}.json"
+            assert main(["discover", "--input", str(path), "--algo", algo,
+                         "--k", "5", "--json", str(out)]) == 0
+            runs.append((strip_timing(out), capsys.readouterr().err))
+    assert runs[:2] == runs[2:]
+    assert runs[0][1] == "note: dropped 2 rows with empty fields\n"
 
 
 @pytest.mark.parametrize("argv, code", [

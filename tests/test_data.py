@@ -12,6 +12,7 @@ from corrsets.data import (
     EncodedDataset,
     ParseError,
     RawTable,
+    _ByteTokens,
     _parse_reader,
     discretize_equal_frequency,
     encode,
@@ -44,6 +45,44 @@ def parsed(parse, data, has_header):
         return parse(data, has_header)
     except ParseError as exc:
         return f"ParseError: {exc}"
+
+
+# tokens for encode: over 8 bytes (coded through the dict), non-ASCII,
+# numerals float() takes, one wide enough to make its column decode byte by
+# byte, and non-finite numerals
+TEXT_TOKENS = ["a", "b", "\u00e9", "\u00fc\U0001d11e", "abcdefghi", "\u00e9" * 5,
+               "long-token-x", "x" * 200]
+NUMERALS = [" 1", "1_0", "-0.0", "0.0", "0", "\u0661", "2.5", "1e3", "12345678",
+            "123456789", "7.000000001"]
+NON_FINITE = ["inf", "-inf", "nan", "NaN"]
+
+
+@st.composite
+def plain_csv_texts(draw):
+    """Plain CSV: columns of text, numerals, or numerals with non-finite
+    ones, the odd empty field and blank line, LF or CRLF line ends."""
+    d = draw(st.integers(1, 4))
+    pools = draw(st.lists(st.sampled_from([TEXT_TOKENS, NUMERALS, NUMERALS + NON_FINITE]),
+                          min_size=d, max_size=d))
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)).map(list),
+                         min_size=2, max_size=20))
+    for at in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                      st.integers(0, d - 1)), max_size=2)):
+        rows[at[0]][at[1]] = ""
+    lines = [",".join(f"c{j}" for j in range(d))] + [",".join(row) for row in rows]
+    for at in draw(st.lists(st.integers(1, len(lines)), max_size=2)):
+        lines.insert(at, "")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def encoded(table, numeric_cols):
+    try:
+        ds = encode(table, numeric_cols=numeric_cols)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    return ds.n, [(a.name, a.kind, a.non_finite, a.domain_size, a.entropy,
+                   a.codes.dtype, a.codes.tolist()) for a in ds.attributes]
 
 
 class TestParseCsv:
@@ -148,6 +187,23 @@ class TestParseCsv:
             parse_csv('a,b\r\n"x",1\r\n')
 
 
+def stable_discretize(values, bins):
+    """Equal-frequency codes from Python's stable sort, loop by loop."""
+    n = len(values)
+    order = sorted(range(n), key=values.__getitem__)
+    distinct = sorted(set(values))
+    if len(distinct) <= bins:
+        return [distinct.index(v) for v in values]
+    base, rem = divmod(n, bins)
+    group_of_rank = [g for g in range(bins) for _ in range(base + (g < rem))]
+    first_rank = {}
+    for rank, i in enumerate(order):
+        first_rank.setdefault(values[i], rank)
+    groups = [group_of_rank[first_rank[v]] for v in values]
+    used = sorted(set(groups))
+    return [used.index(g) for g in groups]
+
+
 class TestDiscretize:
     def test_exact_division(self):
         codes = discretize_equal_frequency(list(range(1, 11)), bins=5)
@@ -199,6 +255,22 @@ class TestDiscretize:
             sizes = np.bincount(codes)
             assert sizes.max() - sizes.min() <= 1
 
+    @given(
+        values=st.lists(
+            st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]),
+                      st.floats(-1e6, 1e6, allow_nan=False)),
+            min_size=1, max_size=80,
+        ),
+        bins=st.integers(1, 9),
+    )
+    @example(values=[0.0, -0.0, 1.0, -0.0, 0.0, 2.0, 3.0], bins=2)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_sort_reference(self, values, bins):
+        # ties may come out of the sort in any order: every copy of a value
+        # takes the group of the value's first sorted position
+        codes = discretize_equal_frequency(values, bins)
+        assert codes.tolist() == stable_discretize(values, bins)
+
 
 class TestEncode:
     def test_first_occurrence_order(self):
@@ -240,6 +312,64 @@ class TestEncode:
         assert ds.attributes[0].domain_size == 3
         with pytest.raises(DataError, match="non-finite"):
             encode(table, numeric_cols=["a"])
+
+    def test_kind_records_what_encode_decided(self):
+        table = RawTable(("num", "txt", "nan"),
+                         (("1", "2", "3"), ("a", "b", "a"), ("1", "nan", "2")), 3)
+        ds = encode(table, bins=2)
+        assert [a.kind for a in ds.attributes] == ["binned", "categorical", "categorical"]
+        assert [a.non_finite for a in ds.attributes] == [False, False, True]
+        ds = encode(table, numeric_cols="none")
+        assert [(a.kind, a.non_finite) for a in ds.attributes] == [("categorical", False)] * 3
+        assert encode(table, numeric_cols=["num"]).attributes[0].kind == "binned"
+        ds = EncodedDataset.from_codes(["v"], [[0, 1]], 2)
+        assert (ds.attributes[0].kind, ds.attributes[0].non_finite) == ("categorical", False)
+
+    @given(
+        text=plain_csv_texts(),
+        as_bytes=st.booleans(),
+        chunk=st.one_of(st.integers(1, 8), st.just(data_module._CHUNK_BYTES)),
+        named=st.lists(st.sampled_from(["c0", "c1", "c2", "c3"]), unique=True),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_plain_path_encodes_like_csv_reader(self, text, as_bytes, chunk, named):
+        data = text.encode() if as_bytes else text
+        with mock.patch.object(data_module, "_CHUNK_BYTES", chunk):
+            table = parse_csv(data)
+        assert all(isinstance(column, _ByteTokens) for column in table.columns)
+        named = [name for name in named if name in table.column_names]
+        reference = _parse_reader(data, True)
+        for numeric_cols in ("auto", "none", named):
+            assert encoded(table, numeric_cols) == encoded(reference, numeric_cols)
+
+    def test_long_tokens_keep_dict_codes(self):
+        keys = parse_csv("c\nabcdefgh\n\u00e9\u00e9\u00e9\u00e9\nabcdefgh\n").columns[0].keys()
+        assert keys[0] == keys[2] != keys[1]  # 8 bytes still make a key
+        text = "c\n" + "".join(f"{'abcdefghi' if i == 5 else i % 3}\n" for i in range(20))
+        assert parse_csv(text).columns[0].keys() is None
+        assert encoded(parse_csv(text), "none") == encoded(_parse_reader(text, True), "none")
+
+    @pytest.mark.parametrize("tokens, padded", [
+        (["abcdefghi", "\u00e9" * 5, "long-token-x", "x"] * 5, True),
+        (["a", "x" * 200, "\u00fc", "bc"] * 5, False),  # rows would pad 50-fold
+    ])
+    def test_column_decodes_by_rows_or_byte_by_byte(self, tokens, padded):
+        column = parse_csv("c\n" + "\n".join(tokens) + "\n").columns[0]
+        with mock.patch.object(data_module, "sliding_window_view",
+                               wraps=data_module.sliding_window_view) as rows:
+            assert list(column) == tokens
+        assert rows.called == padded
+
+    def test_text_column_decoded_up_to_its_first_token(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("whole column decoded")
+
+        table = parse_csv("a,b\nx,1\ny,2\nx,3\n")
+        monkeypatch.setattr(_ByteTokens, "__iter__", refuse)
+        ds = encode(RawTable(("a",), table.columns[:1], 3))
+        assert ds.attributes[0].codes.tolist() == [0, 1, 0]
+        with pytest.raises(AssertionError, match="whole column"):
+            encode(table)  # a column of numerals is decoded, once
 
     def test_few_valued_numeric_column_not_merged(self):
         # as many distinct values as bins or fewer: one code per value
