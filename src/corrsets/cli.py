@@ -192,7 +192,8 @@ def _dataset_summary(dataset, rejected_rows: int) -> dict:
         "rejected_rows": rejected_rows,
         "attributes": [
             {"name": a.name, "kind": a.kind, "domain_size": a.domain_size,
-             "entropy": a.entropy}
+             "entropy": a.entropy, "non_finite": a.non_finite,
+             **({} if a.bins is None else {"bins": a.bins.tolist()})}
             for a in dataset.attributes
         ],
     }
@@ -276,7 +277,7 @@ def cmd_discover(args) -> int:
 
 
 def cmd_score(args) -> int:
-    dataset, _ = _load_dataset(args)
+    dataset, rejected_rows = _load_dataset(args)
     names = [tok.strip() for tok in args.attr_set.split(",") if tok.strip()]
     members = [dataset.index_of(name) for name in names]
     if len(members) < 2:
@@ -304,6 +305,7 @@ def cmd_score(args) -> int:
             "command": "score",
             "config": {"input": args.input, "set": names,
                        "estimator": args.estimator},
+            "dataset": _dataset_summary(dataset, rejected_rows),
             "score": fields,
         })
     return EXIT_OK

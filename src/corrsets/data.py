@@ -58,7 +58,8 @@ class Attribute:
     observed domain size and plug-in entropy in bits. ``kind`` says whether
     ``encode`` binned the column's numbers ("binned") or coded its tokens
     ("categorical"); ``non_finite`` marks a column that "auto" left
-    categorical because its numbers include a non-finite one."""
+    categorical because its numbers include a non-finite one. A binned
+    column's ``bins`` holds each code's lowest and highest value."""
 
     name: str
     codes: np.ndarray
@@ -66,6 +67,7 @@ class Attribute:
     entropy: float
     kind: str = "categorical"
     non_finite: bool = False
+    bins: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +118,7 @@ class EncodedDataset:
         return cls(attributes=tuple(attrs), n=n)
 
 
-def _make_attribute(name: str, codes: np.ndarray, n: int, kind: str = "categorical",
-                    non_finite: bool = False) -> Attribute:
+def _make_attribute(name: str, codes: np.ndarray, n: int, **fields) -> Attribute:
     low = int(codes.min(initial=0))  # from_codes takes negative codes too
     counts, number = _dense(codes - low, int(codes.max(initial=0)) - low + 1)
     return Attribute(
@@ -125,8 +126,7 @@ def _make_attribute(name: str, codes: np.ndarray, n: int, kind: str = "categoric
         codes=number(np.int64),
         domain_size=int(len(counts)),
         entropy=entropy(counts, n),
-        kind=kind,
-        non_finite=non_finite,
+        **fields,
     )
 
 
@@ -196,6 +196,16 @@ class _ByteTokens(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
+    def take(self, rows) -> "_ByteTokens":
+        """The tokens at ``rows``, a slice or mask, over the same buffer."""
+        return _ByteTokens(self.buf, self.starts[rows], self.ends[rows])
+
+    def _words(self, skip: int) -> np.ndarray:
+        """Bytes ``skip`` to ``skip + 8`` from each token's start, bytes past
+        the token included, as one unaligned little-endian ``uint64`` read."""
+        words = np.ndarray(len(self.buf) - 7, "<u8", self.buf, strides=(1,))
+        return words[self.starts + skip]
+
     def keys(self) -> np.ndarray | None:
         """One ``uint64`` per token, equal exactly where the tokens are:
         the token's bytes zero-padded to 8 (NUL is never in a plain token).
@@ -203,12 +213,96 @@ class _ByteTokens(Sequence):
         lens = self.ends - self.starts
         if lens.max(initial=0) > 8:
             return None
-        # one unaligned little-endian read at each start
-        words = np.ndarray(len(self.buf) - 7, "<u8", self.buf, strides=(1,))
-        return words[self.starts] & _LOW_BYTES[lens]
+        return self._words(0) & _LOW_BYTES[lens]
+
+    def decimals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each token's value as ``float()`` gives it, read from its bytes,
+        and a mask of the tokens left to ``float()``.
+
+        A token is read when it is at most 16 bytes of ``[+-]?digits``, with
+        at most one ``.`` anywhere after the sign and at least one digit,
+        and its M digits form an integer below 2**53. Its value is M / 10**f
+        for its f digits after the dot, negated for a ``-``: one correctly
+        rounded division of two exact doubles, so it is the correctly
+        rounded decimal that ``float()`` returns (Clinger's fast path). The
+        two words of 8 bytes are read as digits 8 at a time (Lemire's SWAR
+        parse). A masked token's value is arbitrary.
+        """
+        lens = self.ends - self.starts
+        short = np.minimum(lens, 16)
+        head = np.minimum(short, 8)
+        # each byte minus '0': digits become 0-9 and bytes past the token 0
+        lo, hi = self._words(0), self._words(8)
+        lo ^= _ASCII_ZEROS
+        lo &= _LOW_BYTES[head]
+        hi ^= _ASCII_ZEROS
+        hi &= _LOW_BYTES[short - head]
+        first = lo & _U64(0xFF)
+        negative = first == _U64(ord("-") ^ 0x30)
+        signed = negative | (first == _U64(ord("+") ^ 0x30))
+        first *= signed
+        lo -= first  # the sign reads as a leading 0
+        # the first dot, as bit 0 of its byte k, then as k + 1, or 0
+        lo_at, hi_at = _first_dot(lo), _first_dot(hi)
+        hi_at *= lo_at == 0  # a second dot stays and fails
+        lo ^= lo_at * _DOT  # the dot reads as a 0 too
+        hi ^= hi_at * _DOT
+        lo_at, hi_at = ((word * _BYTE_PLACES >> _U64(56)).view(np.int64)
+                        for word in (lo_at, hi_at))
+        at = np.where(lo_at > 0, lo_at - 1, np.where(hi_at > 0, hi_at + 7, short))
+        dotted = at < short
+        digits = (lo + _OVER_9) | lo | (hi + _OVER_9) | hi
+        digits &= _HIGH_BITS
+        # the 16 digits, the token's followed by zeros; split at the dot
+        whole = _eight_digits(lo)
+        whole *= _U64(10**8)
+        whole += _eight_digits(hi)
+        scale = _POW10[16 - at]
+        mantissa = whole // scale
+        whole -= mantissa * scale
+        whole //= _POW10[16 - short]
+        places = np.where(dotted, short - at - 1, 0)
+        mantissa *= _POW10[places]
+        mantissa += whole
+        read = ((digits == 0) & (lens <= 16) & (short - signed - dotted > 0)
+                & (mantissa < _U64(2**53)))
+        values = mantissa.astype(np.float64)
+        values /= _FLOAT_POW10[places]
+        np.negative(values, out=values, where=negative)
+        return values, ~read
 
 
+_U64 = np.uint64
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_POW10 = np.array([10**k for k in range(17)], dtype=np.uint64)
+_FLOAT_POW10 = np.array([10.0**k for k in range(17)])  # exact doubles up to 10**22
+_ASCII_ZEROS = _U64(0x30 * 0x0101010101010101)
+_DOT = _U64(ord(".") ^ 0x30)
+_OVER_9 = _U64(0x76 * 0x0101010101010101)  # carries a byte above 9 into its high bit
+_HIGH_BITS = _U64(0x8080808080808080)
+_ONES = _U64(0x0101010101010101)
+_DOTS = _DOT * _ONES
+_BYTE_PLACES = _U64(0x0102030405060708)  # byte j holds 8 - j
+
+
+def _first_dot(word: np.ndarray) -> np.ndarray:
+    """Bit 0 of the first byte of ``word`` that holds a dot (minus '0'), or
+    0: the zero-byte test, which is exact at the lowest byte it flags."""
+    other = word ^ _DOTS
+    found = other - _ONES
+    found &= ~other
+    found &= _HIGH_BITS
+    found &= ~found + _U64(1)
+    found >>= _U64(7)
+    return found
+
+
+def _eight_digits(word: np.ndarray) -> np.ndarray:
+    """The number that 8 digit bytes spell, the first byte most significant."""
+    word = word * _U64(10) + (word >> _U64(8))
+    return ((word & _U64(0x000000FF000000FF)) * _U64(100 + (1000000 << 32))
+            + ((word >> _U64(16)) & _U64(0x000000FF000000FF)) * _U64(1 + (10000 << 32))
+            ) >> _U64(32)
 
 
 def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
@@ -294,7 +388,7 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
     starts, ends = (np.concatenate(side)[int(has_header):] for side in zip(*spans))
     if not has_header:
         names = tuple(f"X{j + 1}" for j in range(d))
-    buf = np.zeros(len(data) + max(width, 8), dtype=np.uint8)  # keys read 8+ bytes
+    buf = np.zeros(len(data) + max(width, 16), dtype=np.uint8)  # decimals read 16+ bytes
     buf[:len(data)] = raw
     return RawTable(
         column_names=names,
@@ -347,7 +441,7 @@ def _parse_reader(data: bytes | str, has_header: bool) -> RawTable:
     )
 
 
-def discretize_equal_frequency(values, bins: int) -> np.ndarray:
+def discretize_equal_frequency(values, bins: int, ranges: bool = False):
     """Cut values into ``bins`` rank-contiguous groups of near-equal size.
 
     A column with at most ``bins`` distinct values is not cut: each value
@@ -356,7 +450,8 @@ def discretize_equal_frequency(values, bins: int) -> np.ndarray:
     tied value take the group of the first sorted position of that value
     (the lower bin), so the returned code is a function of the value and
     does not depend on how the sort orders ties; codes are then compacted
-    to remove bins emptied by that rule.
+    to remove bins emptied by that rule. With ``ranges``, returns the codes
+    and a (codes, 2) array of each code's lowest and highest value.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
@@ -373,30 +468,56 @@ def discretize_equal_frequency(values, bins: int) -> np.ndarray:
     codes = np.empty(n, dtype=np.int64)
     if value_of_rank[-1] < bins:
         codes[order] = value_of_rank
-        return codes
-    base, rem = divmod(n, bins)
-    sizes = np.full(bins, base, dtype=np.int64)
-    sizes[:rem] += 1
-    group_of_rank = np.repeat(np.arange(bins, dtype=np.int64), sizes)
-    first_rank = np.flatnonzero(is_first)[value_of_rank]
-    codes[order] = group_of_rank[first_rank]
-    return _dense(codes, bins)[1](np.int64)
+        lows = highs = sorted_vals[is_first]
+    else:
+        base, rem = divmod(n, bins)
+        sizes = np.full(bins, base, dtype=np.int64)
+        sizes[:rem] += 1
+        group_of_rank = np.repeat(np.arange(bins, dtype=np.int64), sizes)
+        first_rank = np.flatnonzero(is_first)[value_of_rank]
+        codes[order] = group_of_rank[first_rank]
+        codes = _dense(codes, bins)[1](np.int64)
+        # a group's highest value sits at its last rank; a group that ties
+        # emptied repeats the one before it
+        highs = sorted_vals[np.cumsum(sizes) - 1]
+        highs = highs[np.concatenate(([True], highs[1:] != highs[:-1]))]
+        lows = sorted_vals[np.searchsorted(sorted_vals, highs[:-1], side="right")]
+        lows = np.concatenate((sorted_vals[:1], lows))
+    return (codes, np.column_stack((lows, highs))) if ranges else codes
+
+
+# A byte column is read from its bytes when at least half of this many
+# leading tokens are plain decimals. Reading costs about a third of what
+# float() does and is wasted on a column of exponents or 17-digit reprs.
+_PROBE_TOKENS = 64
 
 
 def _floats(column, name: str) -> np.ndarray:
-    """Parse a column's tokens as floats. A text column fails on its first
-    token, so the rest of it is never read or decoded."""
-    for tokens in ((column[0],), column):
-        try:
-            values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-        except ValueError:
-            for tok in tokens:
-                try:
-                    float(tok)
-                except ValueError:
-                    raise DataError(f"column {name!r}: non-numeric value {tok!r}") from None
-            raise
+    """Parse a column's tokens as ``float()`` does. A text column fails on
+    its first token, so the rest of it is never read or decoded. A byte
+    column of mostly plain decimals is read from its bytes, and only its
+    other tokens are decoded."""
+    _parse_floats((column[0],), name)
+    if (not isinstance(column, _ByteTokens)
+            or column.take(slice(_PROBE_TOKENS)).decimals()[1].mean() > 0.5):
+        return _parse_floats(column, name)
+    values, slow = column.decimals()
+    if slow.any():
+        values[slow] = _parse_floats(column.take(slow), name)
     return values
+
+
+def _parse_floats(tokens, name: str) -> np.ndarray:
+    """``float()`` of each token; a DataError names the first that fails."""
+    try:
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        for tok in tokens:
+            try:
+                float(tok)
+            except ValueError:
+                raise DataError(f"column {name!r}: non-numeric value {tok!r}") from None
+        raise
 
 
 def _first_occurrence_codes(column) -> np.ndarray:
@@ -428,8 +549,9 @@ def encode(table: RawTable, bins: int = 5, numeric_cols="auto") -> EncodedDatase
     "none" bins nothing, and a list of names bins those columns, each of
     which must hold finite numbers only. Other columns, numerals included,
     map to codes in first-occurrence order of their tokens. Each attribute
-    records which of the two it got; a column of numbers that "auto" left
-    categorical for a non-finite value is marked ``non_finite``.
+    records which of the two it got, a binned one its bins' value ranges;
+    a column of numbers that "auto" left categorical for a non-finite value
+    is marked ``non_finite``.
     """
     if table.row_count < 2:
         raise DataError("need at least 2 rows: correction terms divide by n - 1")
@@ -451,8 +573,9 @@ def encode(table: RawTable, bins: int = 5, numeric_cols="auto") -> EncodedDatase
             codes = _first_occurrence_codes(column)
             attrs.append(_make_attribute(name, codes, table.row_count))
         elif np.isfinite(values).all():
-            codes = discretize_equal_frequency(values, bins)
-            attrs.append(_make_attribute(name, codes, table.row_count, kind="binned"))
+            codes, ranges = discretize_equal_frequency(values, bins, ranges=True)
+            attrs.append(_make_attribute(name, codes, table.row_count, kind="binned",
+                                         bins=ranges))
         elif auto:
             codes = _first_occurrence_codes(column)
             attrs.append(_make_attribute(name, codes, table.row_count, non_finite=True))

@@ -396,15 +396,17 @@ def extend(dataset, score: SubsetScore, part: RowPartition,
     demonstration fold it from :data:`EMPTY_SCORE` and the trivial
     partition, so all of them add the same entropies in the same order."""
     attr = dataset.attributes[i]
-    part = refine_partition(part, attr)
+    child = refine_partition(part, attr)
     members = score.members + (i,)
     entropy_sum = score.entropy_sum + attr.entropy
     entropy_max = max(score.entropy_max, attr.entropy)
     # a zero normalizer takes no correction, and m0_relaxed needs n >= 2
     sizes = [dataset.attributes[j].domain_size for j in members]
     bits = correction_relaxed_bits(sizes, dataset.n) if entropy_sum > entropy_max else 0.0
-    joint = entropy(part.cell_counts, dataset.n)
-    return assemble_score(members, entropy_sum, entropy_max, joint, bits), part
+    # a constant attribute keeps the cells, so only a scored partition's
+    # counts are read: a queued one may drop them
+    joint = score.joint_entropy if child is part else entropy(child.cell_counts, dataset.n)
+    return assemble_score(members, entropy_sum, entropy_max, joint, bits), child
 
 
 def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:

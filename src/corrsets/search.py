@@ -27,6 +27,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 from .estimators import (
     EMPTY_SCORE,
     RowPartition,
@@ -183,9 +185,9 @@ def bound_ref(node: SearchNode, ctx: SearchContext) -> float:
 # when popped, so queue memory stays bounded at any n.
 PARTITION_STORE_BYTES = 64 * 2**20
 
-
-def _nbytes(part: RowPartition) -> int:
-    return part.cell_of_row.nbytes + part.cell_counts.nbytes
+# A queued partition's cell counts: a scored child's are never read again.
+# A shared empty array, since a slice such as counts[:0] keeps them alive.
+_NO_COUNTS = np.empty(0, dtype=np.int64)
 
 
 def branch_and_bound(
@@ -201,9 +203,10 @@ def branch_and_bound(
     seconds returns the best found so far with ``stats.completed`` False
     when exceeded; it is checked after every scored child.
 
-    Each queued child keeps its partition, so a popped node
-    is refined only into its children; past ``PARTITION_STORE_BYTES`` a
-    child is queued without one and rebuilt from the root when popped.
+    Each queued child keeps its partition's rows (not its cell counts),
+    so a popped node is refined only into its children; past
+    ``PARTITION_STORE_BYTES`` of rows a child is queued without them and
+    rebuilt from the root when popped.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -217,7 +220,7 @@ def branch_and_bound(
     # heap entries (-potential, members, node, partition or None);
     # member tuples are unique so neither node nor partition is compared
     heap = [(-1.0, (), _ROOT, None)]
-    stored = 0  # bytes of the partitions in the heap
+    stored = 0  # bytes of the partitions' rows in the heap
 
     def out_of_time() -> bool:
         if budget is not None and time.perf_counter() - started > budget:
@@ -234,7 +237,7 @@ def branch_and_bound(
         if part is None:
             part = ctx.partition_of(node.members)
         else:
-            stored -= _nbytes(part)
+            stored -= part.cell_of_row.nbytes
         # each child is pushed as soon as it passes; the threshold only
         # rises, so one that a later sibling beats is pruned at the heap-top
         # cutoff. The budget is checked after every child, so one wide
@@ -248,12 +251,13 @@ def branch_and_bound(
                 potential = min(bound_mon(child), bound_ref(child, ctx))
                 if not alpha * potential > store.threshold():
                     stats.nodes_pruned += 1
-                else:  # _nbytes numbers the rows, so the heap holds no int64 keys
-                    if stored + _nbytes(child_part) > PARTITION_STORE_BYTES:
-                        child_part = None  # rebuilt from the root when popped
-                    else:
-                        stored += _nbytes(child_part)
-                    heapq.heappush(heap, (-potential, child.members, child, child_part))
+                else:  # numbered rows, so the heap holds no int64 keys
+                    cells = child_part.cell_of_row
+                    queued = None  # rebuilt from the root when popped
+                    if stored + cells.nbytes <= PARTITION_STORE_BYTES:
+                        stored += cells.nbytes
+                        queued = RowPartition(cells, _NO_COUNTS, child_part.cell_count)
+                    heapq.heappush(heap, (-potential, child.members, child, queued))
             if out_of_time():
                 break
     return store, stats.finish(ctx.d, store, started)

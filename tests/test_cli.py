@@ -129,6 +129,9 @@ class TestDiscover:
         domains = {a["name"]: a["domain_size"] for a in
                    report["dataset"]["attributes"]}
         assert domains == {"x": 4, "y": 4}
+        bins = {a["name"]: a["bins"] for a in report["dataset"]["attributes"]}
+        assert bins == {"x": [[0.0, 9.0], [10.0, 19.0], [20.0, 29.0], [30.0, 39.0]],
+                        "y": [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]}
 
     def test_report_records_kind_and_non_finite_note(self, tmp_path, capsys):
         path = tmp_path / "kinds.csv"
@@ -137,8 +140,9 @@ class TestDiscover:
         out = tmp_path / "kinds.json"
         assert main(["discover", "--input", str(path), "--json", str(out)]) == 0
         attrs = json.loads(out.read_text())["dataset"]["attributes"]
-        assert [(a["name"], a["kind"]) for a in attrs] == [
-            ("x", "binned"), ("t", "categorical"), ("z", "categorical")]
+        assert [(a["name"], a["kind"], a["non_finite"], "bins" in a) for a in attrs] == [
+            ("x", "binned", False, True), ("t", "categorical", False, False),
+            ("z", "categorical", True, False)]
         assert capsys.readouterr().err == (
             "note: kept column 'z' categorical: it holds a non-finite number\n")
         argv = ["discover", "--input", str(path), "--numeric-cols", "none"]
@@ -291,6 +295,17 @@ class TestScore:
         for est in ("plugin", "relaxed", "upper", "exact"):
             assert main(["score", "--input", str(small_csv), "--set", "a,b",
                          "--estimator", est]) == 0
+
+
+    def test_json_describes_the_dataset_as_discover_does(self, tmp_path, capsys):
+        like = discover_like_csv(tmp_path / "like.csv")
+        reports = []
+        for argv in (["score", "--set", "region,amount"], ["discover"]):
+            out = tmp_path / f"{argv[0]}.json"
+            assert main(argv + ["--input", str(like), "--json", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["dataset"])
+        assert reports[0] == reports[1]
+        assert reports[0]["rejected_rows"] == 2
 
 
 class TestRegret:

@@ -1,4 +1,5 @@
 import csv
+import re
 from unittest import mock
 
 import numpy as np
@@ -55,6 +56,40 @@ TEXT_TOKENS = ["a", "b", "\u00e9", "\u00fc\U0001d11e", "abcdefghi", "\u00e9" * 5
 NUMERALS = [" 1", "1_0", "-0.0", "0.0", "0", "\u0661", "2.5", "1e3", "12345678",
             "123456789", "7.000000001"]
 NON_FINITE = ["inf", "-inf", "nan", "NaN"]
+
+
+# tokens next to the edges of the byte path in ``_ByteTokens.decimals``:
+# mantissas around 2**53, tokens of 15 to 17 bytes, and what only float() takes
+DECIMAL_EDGES = ["-0", "+.5", "5.", ".", "-", "+", "-.", "1.2.3", "1234.5678.9", "1e5",
+                 "1_0", " 1", "inf", "nan", "\u0661", "9007199254740991", "9007199254740992",
+                 "9007199254740993", "-900719925474099.1", "900719925474099.3",
+                 "12345.678901234", "12345.6789012345", "12345.67890123456"]
+
+
+@st.composite
+def decimal_tokens(draw):
+    """``[+-]?digits[.digits]`` with 0 to 19 digits and the dot anywhere."""
+    token = draw(st.text("0123456789", max_size=19))
+    dot = draw(st.integers(0, len(token) + 1))  # past the end: no dot
+    if dot <= len(token):
+        token = token[:dot] + "." + token[dot:]
+    return (draw(st.sampled_from(["", "+", "-"])) + token) or "0"
+
+
+def byte_decimal(token):
+    """Whether ``_ByteTokens.decimals`` reads ``token`` rather than leaving
+    it to float()."""
+    match = re.fullmatch(r"[+-]?([0-9]*)\.?([0-9]*)", token)
+    digits = match and match[1] + match[2]
+    return bool(digits) and len(token) <= 16 and int(digits) < 2**53
+
+
+def float_parses(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 @st.composite
@@ -268,8 +303,11 @@ class TestDiscretize:
     def test_matches_stable_sort_reference(self, values, bins):
         # ties may come out of the sort in any order: every copy of a value
         # takes the group of the value's first sorted position
-        codes = discretize_equal_frequency(values, bins)
+        codes, ranges = discretize_equal_frequency(values, bins, ranges=True)
         assert codes.tolist() == stable_discretize(values, bins)
+        coded = [[v for v, c in zip(values, codes.tolist()) if c == code]
+                 for code in range(len(ranges))]
+        assert ranges.tolist() == [[min(vs), max(vs)] for vs in coded]
 
 
 class TestEncode:
@@ -368,8 +406,45 @@ class TestEncode:
         monkeypatch.setattr(_ByteTokens, "__iter__", refuse)
         ds = encode(RawTable(("a",), table.columns[:1], 3))
         assert ds.attributes[0].codes.tolist() == [0, 1, 0]
-        with pytest.raises(AssertionError, match="whole column"):
-            encode(table)  # a column of numerals is decoded, once
+        ds = encode(table)  # a column of plain numerals is read from its bytes
+        assert ds.attributes[1].kind == "binned"
+        assert ds.attributes[1].codes.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("tokens, from_bytes", [
+        (["1.5", "-2", "+.25", "1e5"] * 30, True),
+        (["1e5", "2.5E-3", "1.5", "-7e0"] * 30, False),  # mostly exponents
+        ([f"0.{i:018d}" for i in range(90)], False),  # 19 digits each
+    ])
+    def test_mostly_plain_column_read_from_bytes(self, tokens, from_bytes):
+        column = parse_csv("c\n" + "\n".join(tokens)).columns[0]
+        with mock.patch.object(_ByteTokens, "decimals", autospec=True,
+                               side_effect=_ByteTokens.decimals) as decimals:
+            values = data_module._floats(column, "c")
+        assert values.tolist() == [float(t) for t in tokens]
+        whole = [len(call.args[0]) == len(tokens) for call in decimals.call_args_list]
+        assert any(whole) == from_bytes
+
+    @given(tokens=st.lists(st.one_of(decimal_tokens(), st.sampled_from(DECIMAL_EDGES)),
+                           min_size=2, max_size=30),
+           eol=st.sampled_from(["", "\n"]))
+    @settings(max_examples=400, deadline=None)
+    def test_byte_decimals_are_bit_exact_with_float(self, tokens, eol):
+        text = "c\n" + "\n".join(tokens) + eol  # the last token may end the file
+        table = parse_csv(text)
+        column = table.columns[0]
+        assert isinstance(column, _ByteTokens) and list(column) == tokens
+        values, slow = column.decimals()
+        assert slow.tolist() == [not byte_decimal(t) for t in tokens]
+        read = np.array([float(t) for t in tokens if byte_decimal(t)])
+        assert values[~slow].view(np.int64).tolist() == read.view(np.int64).tolist()
+        bad = [t for t in tokens if not float_parses(t)]
+        if bad:  # a named column names its first bad token in row order
+            with pytest.raises(DataError, match=re.escape(f"value {bad[0]!r}")):
+                encode(table, numeric_cols=["c"])
+            return
+        reference = np.array([float(t) for t in tokens])
+        assert (data_module._floats(column, "c").view(np.int64).tolist()
+                == reference.view(np.int64).tolist())
 
     def test_few_valued_numeric_column_not_merged(self):
         # as many distinct values as bins or fewer: one code per value
