@@ -325,7 +325,7 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
         except UnicodeEncodeError:  # a lone surrogate
             return None
     if (b'"' in data or b"\0" in data  # csv before 3.11 refuses NUL
-            or data.count(b"\r") != data.count(b"\r\n")):
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
     stop = len(data)

@@ -189,14 +189,20 @@ def refine_partition(parent: RowPartition, attr) -> RowPartition:
                         counts, cell_count)
 
 
-@lru_cache(maxsize=8)
-def _log_factorials(n: int) -> np.ndarray:
-    """Table of ln(k!) for k = 0..n."""
-    from scipy.special import gammaln  # only the exact oracle needs scipy
-
-    table = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
-    table.flags.writeable = False
-    return table
+@lru_cache(maxsize=4096)
+def _pair_mi_bits(a: int, b: int, n: int) -> float:
+    """sum_c (c/n) log2(n c / (a b)) P_hyp(c; n, a, b) for one pair of counts.
+    The pmf is built from its falling ratio P(c+1)/P(c): log weights summed
+    outward from the mode, then normalized by their sum. No factorial appears,
+    so large log-factorials never cancel."""
+    cs = np.arange(max(0, a + b - n), min(a, b) + 1)
+    c = cs[:-1]
+    log_r = np.log((a - c) * (b - c) / ((c + 1) * (n - a - b + c + 1)))
+    mode = int(np.count_nonzero(log_r > 0))
+    w = np.exp(np.concatenate((-np.cumsum(log_r[:mode][::-1])[::-1], [0.0],
+                               np.cumsum(log_r[mode:]))))
+    terms = (cs / n) * np.log2(np.maximum(cs, 1) * (n / (a * b)))
+    return float(np.dot(terms, w) / w.sum())
 
 
 def expected_mi_permutation(row_marginals, col_marginals, n: int) -> float:
@@ -213,8 +219,8 @@ def expected_mi_permutation(row_marginals, col_marginals, n: int) -> float:
     distinct nonzero counts of each marginal, ascending, each term weighted
     by how often its pair occurs: the bits depend only on the two count
     multisets, and the cost on the number of distinct counts, not cells.
-    Probabilities are evaluated in log space from a factorial table, so the
-    computation is overflow-free for large n.
+    Probabilities are evaluated in log space, so the computation is
+    overflow-free for large n.
     """
     a, b = np.asarray(row_marginals), np.asarray(col_marginals)
     if any(not np.all(np.isfinite(m) & (m >= 0)) or np.any(m % 1) for m in (a, b)):
@@ -222,16 +228,12 @@ def expected_mi_permutation(row_marginals, col_marginals, n: int) -> float:
     a, b = a.astype(np.int64), b.astype(np.int64)
     if a.sum() != n or b.sum() != n:
         raise ValueError("marginal sums must both equal n")
-    lf, total = _log_factorials(n), 0.0
+    total = 0.0
     # (count, multiplicity) pairs of each marginal
     a, b = (zip(*(v.tolist() for v in np.unique(m[m > 0], return_counts=True)))
             for m in (a, b))
     for (ai, at), (bj, bt) in itertools.product(a, b):
-        cs = np.arange(max(1, ai + bj - n), min(ai, bj) + 1)
-        log_p = (lf[ai] + lf[n - ai] + lf[bj] + lf[n - bj] - lf[n]) - (
-            lf[cs] + lf[ai - cs] + lf[bj - cs] + lf[n - ai - bj + cs])
-        terms = (cs / n) * (np.log2(cs) + math.log2(n) - math.log2(ai) - math.log2(bj))
-        total += at * bt * float(np.dot(terms, np.exp(log_p)))
+        total += at * bt * _pair_mi_bits(ai, bj, n)
     return max(total, 0.0)
 
 

@@ -247,8 +247,8 @@ def branch_and_bound(
             stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
             store.offer(child.members, child.score)
             if child.last_index < ctx.d - 1:  # else no refinements to cut or keep
-                # both bounds are 1 below depth 2, and bound_ref <= bound_mon
-                potential = min(bound_mon(child), bound_ref(child, ctx))
+                # bound_ref <= bound_mon on every node, so it alone binds
+                potential = bound_ref(child, ctx)
                 if not alpha * potential > store.threshold():
                     stats.nodes_pruned += 1
                 else:  # numbered rows, so the heap holds no int64 keys

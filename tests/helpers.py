@@ -5,7 +5,8 @@ and mutual information are recomputed from Counters with math.log2,
 population scores from marginals built as dicts and added with
 math.fsum, the permutation-model expectation is averaged over explicitly
 enumerated permutations (or, where n! is too many, summed cell pair by
-cell pair from math.lgamma), and ordering maxima are taken by brute force.
+cell pair from math.lgamma, or from exact rational probabilities), and
+ordering maxima are taken by brute force.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import math
 import os
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +94,21 @@ def oracle_hypergeometric_mean_mi(row_marginals, col_marginals) -> float:
             for c in range(max(1, a + b - n), min(a, b) + 1):
                 log_p = log_choose(b, c) + log_choose(n - b, a - c) - log_choose(n, a)
                 terms.append(c / n * math.log2(n * c / (a * b)) * math.exp(log_p))
+    return math.fsum(terms)
+
+
+def oracle_rational_mean_mi(row_marginals, col_marginals) -> float:
+    """The same mean at large n: each hypergeometric probability is an exact
+    Fraction of math.comb values, rounded once, and the terms of each pair
+    of distinct counts, times its multiplicity, are added with math.fsum."""
+    n = sum(row_marginals)
+    assert sum(col_marginals) == n
+    terms = []
+    for a, at in Counter(row_marginals).items():
+        for b, bt in Counter(col_marginals).items():
+            for c in range(max(1, a + b - n), min(a, b) + 1):
+                p = Fraction(math.comb(b, c) * math.comb(n - b, a - c), math.comb(n, a))
+                terms.append(at * bt * c / n * math.log2(n * c / (a * b)) * float(p))
     return math.fsum(terms)
 
 

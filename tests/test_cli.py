@@ -430,7 +430,7 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("module", ["corrsets", "corrsets.cli"])
     def test_import_leaves_scipy_unloaded(self, module):
-        # scipy is needed only by the exact oracle and dominates import time
+        # corrsets depends on numpy alone; no import may pull scipy back in
         proc = subprocess.run(
             [sys.executable, "-c",
              f"import sys, {module}; print('scipy' in sys.modules)"],
@@ -438,3 +438,12 @@ class TestTopLevel:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_exact_runs_without_scipy(self, ttt_csv):
+        # numpy is the only runtime dependency, the exact oracle included
+        code = ("import sys; sys.modules['scipy'] = None; from corrsets import cli; "
+                "sys.exit(cli.main(['score', '--input', sys.argv[1], '--set', "
+                "'top-left,middle-middle,class', '--estimator', 'exact']))")
+        proc = subprocess.run([sys.executable, "-c", code, str(ttt_csv)],
+                              capture_output=True, text=True, env=src_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr

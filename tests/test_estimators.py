@@ -27,6 +27,7 @@ from helpers import (
     oracle_hypergeometric_mean_mi,
     oracle_ordering_max,
     oracle_permutation_mean_mi,
+    oracle_rational_mean_mi,
     oracle_relaxed_correction_max,
     random_dataset,
     subset_joint_entropy,
@@ -363,6 +364,15 @@ class TestExpectedMiPermutation:
             a, b = a[a > 0], b[b > 0]
             want = oracle_hypergeometric_mean_mi(a.tolist(), b.tolist())
             assert expected_mi_permutation(a, b, n) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("a, b, n", [
+        ([50] * 2000, [50] * 2000, 100_000),
+        ([40] * 500, [250] * 80, 20_000),
+        ([7] * 300, [21] * 100, 2_100),
+    ])
+    def test_matches_rational_reference_large_n(self, a, b, n):
+        want = oracle_rational_mean_mi(a, b)
+        assert expected_mi_permutation(a, b, n) == pytest.approx(want, rel=1e-13)
 
     @given(marginals=marginal_pairs())
     @example(marginals=([1, 2, 3], [3, 1, 2], 6, [0, 3, 2, 1], [2, 1, 3, 0]))

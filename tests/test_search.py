@@ -125,13 +125,20 @@ class TestBounds:
             if node.last_index == ds.d - 1 and node.depth >= 2:
                 assert bound_ref(node, ctx) == node.score.corrected_score
 
-    def test_bound_ref_below_bound_mon(self):
-        rng = np.random.default_rng(15)
-        ds = random_dataset(rng, d=6, n=60)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 7),
+           n=st.integers(2, 80), max_domain=st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_ref_below_bound_mon(self, seed, d, n, max_domain):
+        # exactly, on every node: branch_and_bound bounds with bound_ref alone
+        ds = random_dataset(np.random.default_rng(seed), d=d, n=n, max_domain=max_domain)
         ctx, nodes = all_nodes(ds)
         for node in nodes.values():
-            if node.depth >= 2:
-                assert bound_ref(node, ctx) <= bound_mon(node) + 1e-12
+            assert bound_ref(node, ctx) <= bound_mon(node)
+
+    def test_bound_ref_below_bound_mon_on_tictactoe(self, ttt):
+        ctx, nodes = all_nodes(ttt)
+        for node in nodes.values():
+            assert bound_ref(node, ctx) <= bound_mon(node)
 
     def test_degenerate_denominator_gives_zero(self):
         ds = EncodedDataset.from_codes(
@@ -487,7 +494,7 @@ class TestNumberingCounts:
                 super().offer(members, score)
                 node = SearchNode(members, score)
                 if node.last_index < ds.d - 1:
-                    potential = min(bound_mon(node), bound_ref(node, ctx))
+                    potential = bound_ref(node, ctx)
                     passed.append(alpha * potential > self.threshold())
 
         monkeypatch.setattr(search, "TopKStore", Recording)
