@@ -3,11 +3,13 @@
 
 Produces the regret grid (dependent dimensionalities x correlation bands,
 aggregated TSV curves per estimator) and the correlation-by-chance table.
-Defaults are sized for a quick desk run; pass --trials 500 and the full
-n-grid for the full protocol.
+The dimensionalities, bands and n-grid are ``corrsets regret``'s defaults;
+the trial count is sized for a quick desk run, so pass --trials 500 for the
+full protocol.
 """
 
 import argparse
+import os
 import sys
 
 from corrsets.cli import main as cli_main
@@ -19,14 +21,9 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-
-    import os
-
     os.makedirs(args.out_dir, exist_ok=True)
     rc = cli_main([
         "regret",
-        "--dims", "2,3,4",
-        "--bands", "0.1:0.2,0.2:0.3,0.3:0.4,0.4:0.5",
         "--trials", str(args.trials),
         "--seed", str(args.seed),
         "--out-dir", args.out_dir,

@@ -55,51 +55,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _alpha(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError("alpha must be in (0, 1]")
-    return value
-
-
-def _int_from(low: int):
-    """An argparse type: an integer of at least ``low``."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}")
+def _checked(name: str, cast, ok, requirement: str):
+    """An argparse type: ``cast`` of the text, refused with ``requirement``
+    unless ``ok`` holds for it. argparse calls a failing cast an "invalid
+    ``name`` value"."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(requirement)
         return value
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = name
     return parse
 
 
-def _budget(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError("budget must be finite and >= 0 seconds")
-    return value
+def _int_from(low: int):
+    return _checked("int", int, lambda v: v >= low, f"must be >= {low}")
 
 
-def _int_list(text: str) -> list[int]:
-    """Dependent-variable counts and sample sizes: both need at least 2."""
-    values = [int(tok) for tok in text.split(",") if tok]
-    if not values or min(values) < 2:
-        raise argparse.ArgumentTypeError("expected integers >= 2")
-    return values
+def _split(text: str, cast) -> list:
+    return [cast(tok) for tok in text.split(",") if tok]
 
 
-def _estimator_list(text: str) -> list[str]:
-    names = [tok for tok in text.split(",") if tok]
-    if not names or not set(names) <= set(REGRET_ESTIMATORS):
-        raise argparse.ArgumentTypeError(f"expected names from {REGRET_ESTIMATORS}")
-    return names
-
-
-def _band_list(text: str) -> list[tuple[float, float]]:
-    bands = [tuple(float(x) for x in tok.split(":")) for tok in text.split(",") if tok]
-    if not bands or not all(len(b) == 2 and 0.0 <= b[0] < b[1] <= 1.0 for b in bands):
-        raise argparse.ArgumentTypeError("expected lo:hi bands, 0 <= lo < hi <= 1")
-    return bands
+_alpha = _checked("float", float, lambda v: 0.0 < v <= 1.0, "alpha must be in (0, 1]")
+_budget = _checked("float", float, lambda v: 0.0 <= v < float("inf"),
+                   "budget must be finite and >= 0 seconds")
+# dependent-variable counts and sample sizes: both need at least 2
+_int_list = _checked("int list", lambda text: _split(text, int),
+                     lambda vs: vs and min(vs) >= 2, "expected integers >= 2")
+_estimator_list = _checked("estimator list", lambda text: _split(text, str),
+                           lambda names: names and set(names) <= set(REGRET_ESTIMATORS),
+                           f"expected names from {REGRET_ESTIMATORS}")
+_band_list = _checked(
+    "band list", lambda text: _split(text, lambda tok: tuple(map(float, tok.split(":")))),
+    lambda bands: bands and all(len(b) == 2 and 0.0 <= b[0] < b[1] <= 1.0 for b in bands),
+    "expected lo:hi bands, 0 <= lo < hi <= 1")
 
 
 def build_parser() -> _Parser:

@@ -55,19 +55,22 @@ class RawTable:
 @dataclass(frozen=True, eq=False)
 class Attribute:
     """One encoded column: dense codes in [0, domain_size) plus its
-    observed domain size and plug-in entropy in bits. ``kind`` says whether
-    ``encode`` binned the column's numbers ("binned") or coded its tokens
-    ("categorical"); ``non_finite`` marks a column that "auto" left
-    categorical because its numbers include a non-finite one. A binned
-    column's ``bins`` holds each code's lowest and highest value."""
+    observed domain size and plug-in entropy in bits. A column that
+    ``encode`` binned has ``bins``, each code's lowest and highest value;
+    ``non_finite`` marks a column that "auto" left categorical because its
+    numbers include a non-finite one."""
 
     name: str
     codes: np.ndarray
     domain_size: int
     entropy: float
-    kind: str = "categorical"
     non_finite: bool = False
     bins: np.ndarray | None = None
+
+    @property
+    def kind(self) -> str:
+        """"binned" for a column with ``bins``, else "categorical"."""
+        return "categorical" if self.bins is None else "binned"
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,20 +117,18 @@ class EncodedDataset:
             if codes.dtype.kind == "f" and not (  # a cast truncates 1.7 and NaN
                     (np.abs(codes) < 2.0**63) & (np.trunc(codes) == codes)).all():
                 raise DataError(f"column {name!r}: codes must be finite whole numbers")
-            attrs.append(_make_attribute(name, codes.astype(np.int64, copy=False), n))
+            codes = codes.astype(np.int64, copy=False)
+            codes = codes - codes.min(initial=0)  # codes may be negative
+            codes = _dense(codes, int(codes.max(initial=0)) + 1)[1](np.int64)
+            attrs.append(_make_attribute(name, codes, n))
         return cls(attributes=tuple(attrs), n=n)
 
 
 def _make_attribute(name: str, codes: np.ndarray, n: int, **fields) -> Attribute:
-    low = int(codes.min(initial=0))  # from_codes takes negative codes too
-    counts, number = _dense(codes - low, int(codes.max(initial=0)) - low + 1)
-    return Attribute(
-        name=name,
-        codes=number(np.int64),
-        domain_size=int(len(counts)),
-        entropy=entropy(counts, n),
-        **fields,
-    )
+    """The attribute of dense ``int64`` codes: every code in [0, max] occurs."""
+    counts = np.bincount(codes)
+    return Attribute(name=name, codes=codes, domain_size=len(counts),
+                     entropy=entropy(counts, n), **fields)
 
 
 def parse_csv(data: bytes | str, has_header: bool = True) -> RawTable:
@@ -441,7 +442,7 @@ def _parse_reader(data: bytes | str, has_header: bool) -> RawTable:
     )
 
 
-def discretize_equal_frequency(values, bins: int, ranges: bool = False):
+def discretize_equal_frequency(values, bins: int):
     """Cut values into ``bins`` rank-contiguous groups of near-equal size.
 
     A column with at most ``bins`` distinct values is not cut: each value
@@ -450,8 +451,8 @@ def discretize_equal_frequency(values, bins: int, ranges: bool = False):
     tied value take the group of the first sorted position of that value
     (the lower bin), so the returned code is a function of the value and
     does not depend on how the sort orders ties; codes are then compacted
-    to remove bins emptied by that rule. With ``ranges``, returns the codes
-    and a (codes, 2) array of each code's lowest and highest value.
+    to remove bins emptied by that rule. Returns the codes and a (codes, 2)
+    array of each code's lowest and highest value.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
@@ -463,27 +464,22 @@ def discretize_equal_frequency(values, bins: int, ranges: bool = False):
     n = vals.size
     order = np.argsort(vals)
     sorted_vals = vals[order]
-    is_first = np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
-    value_of_rank = np.cumsum(is_first) - 1
+    starts = np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
+    firsts = np.flatnonzero(starts)
+    # with at most ``bins`` values, a cut after every rank gives each its own group
+    cuts = bins if len(firsts) > bins else n
+    base, rem = divmod(n, cuts)
+    sizes = np.full(cuts, base, dtype=np.int64)
+    sizes[:rem] += 1
+    ends = np.cumsum(sizes)  # one past each group's last rank
+    group = np.searchsorted(ends, firsts, side="right")  # that of each value's first rank
+    opens = np.concatenate(([True], group[1:] != group[:-1]))
+    starts[firsts[~opens]] = False  # now true where a nonempty group starts
     codes = np.empty(n, dtype=np.int64)
-    if value_of_rank[-1] < bins:
-        codes[order] = value_of_rank
-        lows = highs = sorted_vals[is_first]
-    else:
-        base, rem = divmod(n, bins)
-        sizes = np.full(bins, base, dtype=np.int64)
-        sizes[:rem] += 1
-        group_of_rank = np.repeat(np.arange(bins, dtype=np.int64), sizes)
-        first_rank = np.flatnonzero(is_first)[value_of_rank]
-        codes[order] = group_of_rank[first_rank]
-        codes = _dense(codes, bins)[1](np.int64)
-        # a group's highest value sits at its last rank; a group that ties
-        # emptied repeats the one before it
-        highs = sorted_vals[np.cumsum(sizes) - 1]
-        highs = highs[np.concatenate(([True], highs[1:] != highs[:-1]))]
-        lows = sorted_vals[np.searchsorted(sorted_vals, highs[:-1], side="right")]
-        lows = np.concatenate((sorted_vals[:1], lows))
-    return (codes, np.column_stack((lows, highs))) if ranges else codes
+    codes[order] = np.cumsum(starts) - 1
+    # a group's highest value sits at its last rank before ties moved any
+    highs = sorted_vals[ends[group[opens]] - 1]
+    return codes, np.column_stack((sorted_vals[firsts[opens]], highs))
 
 
 # A byte column is read from its bytes when at least half of this many
@@ -569,16 +565,13 @@ def encode(table: RawTable, bins: int = 5, numeric_cols="auto") -> EncodedDatase
             except DataError:
                 if not auto:
                     raise  # a named column must parse; under auto it stays categorical
-        if values is None:
-            codes = _first_occurrence_codes(column)
-            attrs.append(_make_attribute(name, codes, table.row_count))
-        elif np.isfinite(values).all():
-            codes, ranges = discretize_equal_frequency(values, bins, ranges=True)
-            attrs.append(_make_attribute(name, codes, table.row_count, kind="binned",
-                                         bins=ranges))
-        elif auto:
-            codes = _first_occurrence_codes(column)
-            attrs.append(_make_attribute(name, codes, table.row_count, non_finite=True))
-        else:
+        non_finite = values is not None and not np.isfinite(values).all()
+        if non_finite and not auto:
             raise DataError(f"column {name!r}: non-finite numeric value")
+        if values is None or non_finite:
+            attrs.append(_make_attribute(name, _first_occurrence_codes(column),
+                                         table.row_count, non_finite=non_finite))
+        else:
+            codes, ranges = discretize_equal_frequency(values, bins)
+            attrs.append(_make_attribute(name, codes, table.row_count, bins=ranges))
     return EncodedDataset(attributes=tuple(attrs), n=table.row_count)

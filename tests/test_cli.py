@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -223,11 +224,18 @@ def test_plain_path_reports_like_csv_reader(algo, ttt_csv, tmp_path, monkeypatch
     (["chance", "--d", "3", "--n", "20", "--json", ""], 1),
     (["chance", "--seed", "-1"], 1),
     (["regret", "--seed", "-1"], 1),
+    (["discover", "--input", "{tmp}/x.csv", "--alpha", "abc"], 1),
+    (["discover", "--input", "{tmp}/x.csv", "--budget", "zz"], 1),
+    (["regret", "--dims", "x"], 1),
+    (["regret", "--n-grid", "x"], 1),
+    (["regret", "--bands", "a:b"], 1),
+    (["chance", "--d", "x"], 1),
 ])
 def test_error_contract(argv, code, tmp_path, capsys):
     """Bad values exit 1 at parse time, and unreadable input or an output
     path that cannot be written exits 2 before any work: each with a
-    one-line error, nothing on stdout and no escaping exception."""
+    one-line error that names no private helper of the CLI, nothing on
+    stdout and no escaping exception."""
     (tmp_path / "x.csv").write_text("a,b\n0,1\n1,0\n1,1\n", encoding="utf-8")
     argv = [tok.replace("{tmp}", str(tmp_path)) for tok in argv]
     try:
@@ -238,6 +246,8 @@ def test_error_contract(argv, code, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "error:" in err.splitlines()[-1]
+    helpers = {name for name in vars(cli) if name.startswith("_")}
+    assert not helpers & set(re.findall(r"\w+", err.splitlines()[-1]))
 
 
 class TestScore:

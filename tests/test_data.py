@@ -1,5 +1,6 @@
 import csv
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -241,22 +242,22 @@ def stable_discretize(values, bins):
 
 class TestDiscretize:
     def test_exact_division(self):
-        codes = discretize_equal_frequency(list(range(1, 11)), bins=5)
+        codes, _ = discretize_equal_frequency(list(range(1, 11)), bins=5)
         assert sorted(np.bincount(codes)) == [2, 2, 2, 2, 2]
         assert codes.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
     def test_constant_column_single_bin(self):
-        codes = discretize_equal_frequency([7.0, 7.0, 7.0, 7.0], bins=5)
+        codes, _ = discretize_equal_frequency([7.0, 7.0, 7.0, 7.0], bins=5)
         assert codes.tolist() == [0, 0, 0, 0]
 
     def test_uneven_split(self):
         # rank-based cut: n=3, bins=2 -> group sizes 2 and 1
-        codes = discretize_equal_frequency([1.0, 2.0, 3.0], bins=2)
+        codes, _ = discretize_equal_frequency([1.0, 2.0, 3.0], bins=2)
         assert codes.tolist() == [0, 0, 1]
 
     def test_boundary_tie_goes_to_lower_bin(self):
         # value 2 straddles the rank cut; all its copies take the lower bin
-        codes = discretize_equal_frequency([1.0, 2.0, 2.0, 3.0], bins=2)
+        codes, _ = discretize_equal_frequency([1.0, 2.0, 2.0, 3.0], bins=2)
         assert codes.tolist() == [0, 0, 0, 1]
 
     def test_non_finite_rejected(self):
@@ -276,7 +277,7 @@ class TestDiscretize:
     )
     @settings(max_examples=150, deadline=None)
     def test_properties(self, values, bins):
-        codes = discretize_equal_frequency(values, bins)
+        codes, _ = discretize_equal_frequency(values, bins)
         # codes dense from zero
         assert sorted(set(codes.tolist())) == list(range(codes.max() + 1))
         # the code is a function of the value, monotone in it
@@ -303,7 +304,7 @@ class TestDiscretize:
     def test_matches_stable_sort_reference(self, values, bins):
         # ties may come out of the sort in any order: every copy of a value
         # takes the group of the value's first sorted position
-        codes, ranges = discretize_equal_frequency(values, bins, ranges=True)
+        codes, ranges = discretize_equal_frequency(values, bins)
         assert codes.tolist() == stable_discretize(values, bins)
         coded = [[v for v, c in zip(values, codes.tolist()) if c == code]
                  for code in range(len(ranges))]
@@ -379,6 +380,36 @@ class TestEncode:
         reference = _parse_reader(data, True)
         for numeric_cols in ("auto", "none", named):
             assert encoded(table, numeric_cols) == encoded(reference, numeric_cols)
+
+    @given(
+        text=plain_csv_texts(),
+        from_bytes=st.booleans(),
+        named=st.lists(st.sampled_from(["c0", "c1", "c2", "c3"]), unique=True),
+        bins=st.integers(1, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_attributes_hold_dense_codes(self, text, from_bytes, named, bins):
+        # attributes count their codes as given, so every code in [0, max]
+        # must occur: the counts are those of the tokens, or of the bins
+        table = parse_csv(text.encode())
+        if not from_bytes:
+            table = RawTable(table.column_names, tuple(map(tuple, table.columns)),
+                             table.row_count)
+        named = [name for name in named if name in table.column_names]
+        for numeric_cols in ("auto", "none", named):
+            try:
+                ds = encode(table, bins=bins, numeric_cols=numeric_cols)
+            except DataError:
+                continue
+            for a, column in zip(ds.attributes, table.columns):
+                counts = np.bincount(a.codes)
+                assert a.codes.dtype == np.int64 and counts.all()
+                tokens = list(column)
+                if a.kind == "binned":
+                    tokens = stable_discretize([float(tok) for tok in tokens], bins)
+                expected = Counter(tokens)
+                assert a.domain_size == len(expected)
+                assert sorted(counts) == sorted(expected.values())
 
     def test_long_tokens_keep_dict_codes(self):
         keys = parse_csv("c\nabcdefgh\n\u00e9\u00e9\u00e9\u00e9\nabcdefgh\n").columns[0].keys()
