@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, reduce
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "m0_relaxed",
     "correction_relaxed_bits",
     "assemble_score",
+    "relaxed_score",
     "score_subset",
 ]
 
@@ -363,9 +364,6 @@ class SubsetScore:
         return len(self.members)
 
 
-EMPTY_SCORE = SubsetScore((), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
 def assemble_score(
     members: tuple[int, ...],
     entropy_sum: float,
@@ -377,38 +375,33 @@ def assemble_score(
     unnormalized correction in bits, which a zero normalizer ignores."""
     total_correlation = entropy_sum - joint_entropy
     normalizer = entropy_sum - entropy_max
-    if normalizer <= 0.0:
-        return SubsetScore(
-            members, entropy_sum, entropy_max, joint_entropy,
-            total_correlation, normalizer, 0.0, 0.0, 0.0,
-        )
-    correction = correction_bits / normalizer
-    plugin = min(max(total_correlation / normalizer, 0.0), 1.0)
+    correction = plugin = 0.0
+    if normalizer > 0.0:
+        correction = correction_bits / normalizer
+        plugin = min(max(total_correlation / normalizer, 0.0), 1.0)
     return SubsetScore(
         members, entropy_sum, entropy_max, joint_entropy,
         total_correlation, normalizer, correction, plugin, plugin - correction,
     )
 
 
-def extend(dataset, score: SubsetScore, part: RowPartition,
-           i: int) -> tuple[SubsetScore, RowPartition]:
-    """The relaxed score and the partition of ``score``'s subset plus
-    attribute ``i``, refined from ``part``, that subset's partition. Each
-    search scores a child this way, and :func:`score_subset` and the chance
-    demonstration fold it from :data:`EMPTY_SCORE` and the trivial
-    partition, so all of them add the same entropies in the same order."""
-    attr = dataset.attributes[i]
-    child = refine_partition(part, attr)
-    members = score.members + (i,)
-    entropy_sum = score.entropy_sum + attr.entropy
-    entropy_max = max(score.entropy_max, attr.entropy)
+def relaxed_score(dataset, members, joint_entropy: float) -> SubsetScore:
+    """The relaxed score of the subset ``members`` (attribute indices) whose
+    joint entropy is ``joint_entropy``. Member entropies are added one at a
+    time in the order given, so every caller that passes members in
+    decreasing-entropy order gets the same bits."""
+    entropy_sum = entropy_max = 0.0
+    sizes = []
+    for i in members:
+        attr = dataset.attributes[i]
+        h = attr.entropy
+        entropy_sum += h
+        if h > entropy_max:
+            entropy_max = h
+        sizes.append(attr.domain_size)
     # a zero normalizer takes no correction, and m0_relaxed needs n >= 2
-    sizes = [dataset.attributes[j].domain_size for j in members]
     bits = correction_relaxed_bits(sizes, dataset.n) if entropy_sum > entropy_max else 0.0
-    # a constant attribute keeps the cells, so only a scored partition's
-    # counts are read: a queued one may drop them
-    joint = score.joint_entropy if child is part else entropy(child.cell_counts, dataset.n)
-    return assemble_score(members, entropy_sum, entropy_max, joint, bits), child
+    return assemble_score(tuple(members), entropy_sum, entropy_max, joint_entropy, bits)
 
 
 def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
@@ -427,9 +420,9 @@ def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
     ordered = _ordered_members(dataset, members)
     if estimator in ("upper", "exact") and len(ordered) > ORACLE_MAX_MEMBERS:
         raise ValueError(f"oracle correction limited to {ORACLE_MAX_MEMBERS} members")
-    score, part = EMPTY_SCORE, RowPartition.trivial(dataset.n)
-    for i in ordered:
-        score, part = extend(dataset, score, part, i)
+    part = reduce(refine_partition, (dataset.attributes[i] for i in ordered),
+                  RowPartition.trivial(dataset.n))
+    score = relaxed_score(dataset, ordered, entropy(part.cell_counts, dataset.n))
     if estimator == "relaxed" or score.normalizer <= 0.0:
         return score
     bits = (0.0 if estimator == "plugin" else

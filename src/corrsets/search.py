@@ -30,12 +30,12 @@ from functools import reduce
 import numpy as np
 
 from .estimators import (
-    EMPTY_SCORE,
     RowPartition,
     SubsetScore,
-    extend,
+    entropy,
     order_attributes,
     refine_partition,
+    relaxed_score,
 )
 
 __all__ = [
@@ -143,8 +143,15 @@ class SearchStats:
             self.solution_depth = len(store.results[0][0])
         return self
 
+    def count(self, child: SearchNode, store: TopKStore) -> None:
+        """Count one scored child as explored and offer it to ``store``."""
+        self.nodes_explored += 1
+        self.max_depth_reached = max(self.max_depth_reached, child.depth)
+        store.offer(child.members, child.score)
 
-_ROOT = SearchNode((), EMPTY_SCORE)
+
+# the empty subset, where every search starts
+_ROOT = SearchNode((), SubsetScore((), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def _children(ctx: SearchContext, node: SearchNode,
@@ -153,7 +160,12 @@ def _children(ctx: SearchContext, node: SearchNode,
     from ``part`` (the node's partition) and yielded with its own
     partition. A singleton's normalizer is 0, so it scores 0."""
     for rank in range(node.last_index + 1, ctx.d):
-        score, child_part = extend(ctx.dataset, node.score, part, ctx.order[rank])
+        child_part = refine_partition(part, ctx.attrs[rank])
+        # a constant attribute keeps the cells, so only a refined partition's
+        # counts are read: a queued one may drop them
+        joint = (node.score.joint_entropy if child_part is part
+                 else entropy(child_part.cell_counts, ctx.dataset.n))
+        score = relaxed_score(ctx.dataset, node.score.members + (ctx.order[rank],), joint)
         yield SearchNode(node.members + (rank,), score), child_part
         del child_part  # not held while the next child is refined
 
@@ -208,13 +220,11 @@ def branch_and_bound(
     ``PARTITION_STORE_BYTES`` of rows a child is queued without them and
     rebuilt from the root when popped.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    store = TopKStore(k)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     started = time.perf_counter()
     ctx = SearchContext(dataset)
-    store = TopKStore(k)
     stats = SearchStats()
     stats.nodes_explored = 1
     # heap entries (-potential, members, node, partition or None);
@@ -243,9 +253,7 @@ def branch_and_bound(
         # cutoff. The budget is checked after every child, so one wide
         # expansion cannot overrun it
         for child, child_part in _children(ctx, node, part):
-            stats.nodes_explored += 1
-            stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
-            store.offer(child.members, child.score)
+            stats.count(child, store)
             if child.last_index < ctx.d - 1:  # else no refinements to cut or keep
                 # bound_ref <= bound_mon on every node, so it alone binds
                 potential = bound_ref(child, ctx)
@@ -264,20 +272,14 @@ def branch_and_bound(
 
 
 def _keep_best(children, store: TopKStore, stats: SearchStats):
-    """Offer every (child, partition) pair to the store and return the best
-    of them (score descending, then smallest member tuple), or None. A
-    losing child's partition is dropped as soon as it loses."""
-    best = None
-    for child, part in children:
-        stats.nodes_explored += 1
-        stats.max_depth_reached = max(stats.max_depth_reached, child.depth)
-        store.offer(child.members, child.score)
-        if best is None or (-child.score.corrected_score, child.members) < (
-            -best[0].score.corrected_score, best[0].members
-        ):
-            best = child, part
-        del part
-    return best
+    """Count every (child, partition) pair and return the best of them
+    (score descending, then smallest member tuple), or None. A losing
+    child's partition is dropped as soon as it loses."""
+    def counted(pair):
+        stats.count(pair[0], store)
+        return pair
+    return min(map(counted, children), default=None,
+               key=lambda pair: (-pair[0].score.corrected_score, pair[0].members))
 
 
 def greedy(dataset, k: int = 1) -> tuple[TopKStore, SearchStats]:
@@ -285,11 +287,9 @@ def greedy(dataset, k: int = 1) -> tuple[TopKStore, SearchStats]:
     only the best node, stopping when it has no refinements or its
     refinement bound cannot beat the current k-th best score. The top-k is
     collected over every candidate evaluated along the way."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    store = TopKStore(k)
     started = time.perf_counter()
     ctx = SearchContext(dataset)
-    store = TopKStore(k)
     stats = SearchStats()
     # the last singleton has no pairs, so it is never refined; one pass
     # over all pairs holds a single best pair (node, its partition)

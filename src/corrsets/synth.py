@@ -22,13 +22,12 @@ import numpy as np
 
 from .data import EncodedDataset
 from .estimators import (
-    EMPTY_SCORE,
     ORACLE_MAX_MEMBERS,
     RowPartition,
     _max_correction_bits,
     correction_relaxed_bits,
     entropy,
-    extend,
+    refine_partition,
 )
 
 __all__ = [
@@ -381,13 +380,15 @@ def chance_demo(
     dataset = EncodedDataset.from_codes(
         [f"U{i + 1}" for i in range(d)], [codes[:, i] for i in range(d)], n
     )
-    score, part = EMPTY_SCORE, RowPartition.trivial(n)
+    part, entropy_sum = RowPartition.trivial(n), 0.0
     records = []
-    for i in range(d):
-        score, part = extend(dataset, score, part, i)
+    for i, attr in enumerate(dataset.attributes):
+        part = refine_partition(part, attr)
+        entropy_sum += attr.entropy
         if i:
-            plugin_bits = score.total_correlation
+            plugin_bits = entropy_sum - entropy(part.cell_counts, n)
             sizes = [a.domain_size for a in dataset.attributes[:i + 1]]
+            # corrected even at a zero normalizer, where relaxed_score takes none
             records.append(ChanceRecord(
                 i + 1, plugin_bits, plugin_bits - correction_relaxed_bits(sizes, n)))
     return records

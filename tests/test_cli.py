@@ -150,6 +150,22 @@ class TestDiscover:
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
 
+    def test_named_numeric_columns(self, tmp_path, capsys):
+        path = tmp_path / "named.csv"
+        rows = ["a,b,c"] + [f"{i},{i % 4},{i * 7 % 10}" for i in range(30)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "named.json"
+        argv = ["discover", "--input", str(path), "--bins", "3", "--numeric-cols"]
+        assert main(argv + ["a,c", "--json", str(out)]) == 0
+        attrs = json.loads(out.read_text())["dataset"]["attributes"]
+        assert [(a["name"], a["kind"], a["domain_size"]) for a in attrs] == [
+            ("a", "binned", 3), ("b", "categorical", 4), ("c", "binned", 3)]
+        path.write_text("\n".join(["a,b", "1,0", "2,v7", "3,1"]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(argv + ["a,b"]) == 2
+        assert capsys.readouterr().err == (
+            "corrsets discover: error: column 'b': non-numeric value 'v7'\n")
+
     def test_deterministic_reports(self, small_csv, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         argv = ["discover", "--input", str(small_csv), "--k", "4", "--json"]
@@ -281,6 +297,11 @@ class TestScore:
         rc = main(["score", "--input", str(small_csv), "--set", "a,a"])
         assert rc == 2
         assert "distinct" in capsys.readouterr().err
+
+    def test_single_name_rejected(self, small_csv, capsys):
+        rc = main(["score", "--input", str(small_csv), "--set", "a"])
+        assert rc == 2
+        assert "need at least 2 attribute names" in capsys.readouterr().err
 
     def test_utf8_bom_header(self, tmp_path):
         path = tmp_path / "bom.csv"

@@ -222,6 +222,17 @@ class TestParseCsv:
         with pytest.raises(AssertionError, match="csv.reader called"):
             parse_csv('a,b\r\n"x",1\r\n')
 
+    def test_byte_columns_read_as_tuples(self, ttt_csv):
+        data = ttt_csv.read_bytes()
+        table = parse_csv(data)
+        for column in table.columns:
+            assert isinstance(column, _ByteTokens)
+            assert column[1:3] == tuple(column)[1:3]
+            assert hash(column) == hash(tuple(column))
+            assert repr(column) == repr(tuple(column))
+            assert column != list(column)
+        assert hash(table) == hash(_parse_reader(data, True))
+
 
 def stable_discretize(values, bins):
     """Equal-frequency codes from Python's stable sort, loop by loop."""
@@ -263,6 +274,10 @@ class TestDiscretize:
     def test_non_finite_rejected(self):
         with pytest.raises(DataError, match="non-finite"):
             discretize_equal_frequency([1.0, float("nan")], bins=2)
+
+    def test_empty_column_rejected(self):
+        with pytest.raises(DataError, match="empty column"):
+            discretize_equal_frequency([], bins=3)
 
     def test_bad_bins(self):
         with pytest.raises(ValueError):

@@ -430,6 +430,10 @@ class TestCorrectionRelaxed:
     def test_vanishes_for_large_n(self):
         assert correction_relaxed_bits([4, 4, 4], 10**9) / 2.0 < 1e-6
 
+    @pytest.mark.parametrize("sizes", [[5], []])
+    def test_fewer_than_two_sizes_add_nothing(self, sizes):
+        assert correction_relaxed_bits(sizes, 100) == 0.0
+
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6),
         n=st.integers(min_value=2, max_value=500),

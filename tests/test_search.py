@@ -407,9 +407,9 @@ class TestAgainstBruteForce:
     @given(ds=small_tables())
     @settings(max_examples=80, deadline=None)
     def test_score_subset_matches_oracle(self, ds):
-        # the searches and score_subset share one scoring step, so their
-        # agreement alone cannot catch a fault in it; the oracle does not
-        # run that step
+        # the searches and score_subset share one scoring function,
+        # relaxed_score, so their agreement alone cannot catch a fault in
+        # it; the oracle does not run that function
         assert not hasattr(helpers, "extend")
         corrected = brute_force_scores(ds)
         plugin = brute_force_scores(ds, corrected=False)
@@ -428,7 +428,8 @@ class TestAgainstBruteForce:
 
 def counted(fn, *args, **kwargs):
     """fn's result and how often it called ``refine_partition`` (a child's
-    in ``estimators.extend``, a rebuild's from the root in ``search``),
+    in ``search._children``, a rebuild's from the root in ``search``, a
+    chain's in ``score_subset``),
     numbered a partition's rows (``estimators._number``), expanded a
     search node and pushed onto a heap."""
     counts = {"refine": 0, "number": 0, "expand": 0, "push": 0}
@@ -524,6 +525,18 @@ class TestNumberingCounts:
         ds = random_dataset(np.random.default_rng(m), d=9, n=60)
         _, counts = counted(score_subset, ds, range(m), estimator)
         assert (counts["refine"], counts["number"]) == (m, m - 1)
+
+
+@pytest.mark.parametrize("estimator", estimators.ESTIMATORS)
+@pytest.mark.parametrize("m", range(2, 9))
+def test_score_subset_computes_one_joint_entropy(ttt, m, estimator, monkeypatch):
+    # a score needs the joint entropy of the whole subset, not of the
+    # prefixes its partition is refined through
+    calls = []
+    entropy = estimators.entropy
+    monkeypatch.setattr(estimators, "entropy", lambda *a: calls.append(a) or entropy(*a))
+    score_subset(ttt, range(m), estimator)
+    assert len(calls) == 1
 
 
 class TestPartitionStore:

@@ -128,6 +128,10 @@ class TestSampleJointInBand:
         with pytest.raises(ValueError):
             sample_joint_in_band(2, (0.5, 0.2), rng_seed=0)
 
+    def test_dimension_validation(self):
+        with pytest.raises(ValueError, match="at least 2 dependent"):
+            sample_joint_in_band(1, (0.0, 1.0))
+
     def test_max_attempts_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
             sample_joint_in_band(2, (0.0, 1.0), rng_seed=0, max_attempts=0)
