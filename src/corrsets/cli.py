@@ -151,6 +151,7 @@ def build_parser() -> _Parser:
 
 
 def _load_dataset(args):
+    """The encoded input and the ``dataset`` block of its JSON report."""
     with open(args.input, "rb") as fh:
         table = parse_csv(fh.read(), has_header=not args.no_header)
     if table.rejected_rows:
@@ -164,27 +165,28 @@ def _load_dataset(args):
         if a.non_finite:
             print(f"note: kept column {a.name!r} categorical: it holds a non-finite number",
                   file=sys.stderr)
+    dropped = {}
     if args.drop_constant:
-        dataset = dataset.drop_constant()
+        kept = dataset.drop_constant()
+        dropped = {"dropped_constant": [name for name in dataset.names
+                                        if name not in kept.names]}
+        dataset = kept
     if dataset.d < 2:
         raise DataError(
             f"need at least 2 attributes, found {dataset.d}"
             + (" after dropping constants" if args.drop_constant else "")
         )
-    return dataset, table.rejected_rows
-
-
-def _dataset_summary(dataset, rejected_rows: int) -> dict:
-    return {
+    return dataset, {
         "n": dataset.n,
         "d": dataset.d,
-        "rejected_rows": rejected_rows,
+        "rejected_rows": table.rejected_rows,
         "attributes": [
             {"name": a.name, "kind": a.kind, "domain_size": a.domain_size,
              "entropy": a.entropy, "non_finite": a.non_finite,
              **({} if a.bins is None else {"bins": a.bins.tolist()})}
             for a in dataset.attributes
         ],
+        **dropped,
     }
 
 
@@ -217,7 +219,7 @@ def _write_json(path, report) -> None:
 
 
 def cmd_discover(args) -> int:
-    dataset, rejected_rows = _load_dataset(args)
+    dataset, summary = _load_dataset(args)
     if args.algo == "bnb":
         store, stats = branch_and_bound(
             dataset, k=args.k, alpha=args.alpha, budget=args.budget
@@ -235,7 +237,7 @@ def cmd_discover(args) -> int:
             "drop_constant": args.drop_constant,
             "budget": args.budget,
         },
-        "dataset": _dataset_summary(dataset, rejected_rows),
+        "dataset": summary,
         "results": records,
         "stats": {key: value for key, value in dataclasses.asdict(stats).items()
                   if key != "wall_time"},
@@ -266,7 +268,7 @@ def cmd_discover(args) -> int:
 
 
 def cmd_score(args) -> int:
-    dataset, rejected_rows = _load_dataset(args)
+    dataset, summary = _load_dataset(args)
     names = [tok.strip() for tok in args.attr_set.split(",") if tok.strip()]
     members = [dataset.index_of(name) for name in names]
     if len(members) < 2:
@@ -294,7 +296,7 @@ def cmd_score(args) -> int:
             "command": "score",
             "config": {"input": args.input, "set": names,
                        "estimator": args.estimator},
-            "dataset": _dataset_summary(dataset, rejected_rows),
+            "dataset": summary,
             "score": fields,
         })
     return EXIT_OK

@@ -114,7 +114,9 @@ class RowPartition:
 
     ``cell_of_row[r]`` is the dense cell index of row r, ``cell_counts[c]``
     the size of cell c. Refining by one attribute at a time makes this the
-    incremental carrier for joint entropies. ``cell_of_row`` is held in
+    incremental carrier for joint entropies. ``cell_counts`` is None on a
+    partition that ``branch_and_bound`` keeps in its queue: it is only
+    refined further, never scored. ``cell_of_row`` is held in
     the narrowest unsigned dtype that fits ``cell_count - 1``. It may be
     given as a function that numbers the rows, called on the first read
     and then replaced by its array; two racing first reads compute the
@@ -122,7 +124,7 @@ class RowPartition:
     """
 
     _cell_of_row: np.ndarray | partial
-    cell_counts: np.ndarray
+    cell_counts: np.ndarray | None
     cell_count: int
 
     @property
@@ -180,8 +182,6 @@ def refine_partition(parent: RowPartition, attr) -> RowPartition:
     is never numbered.
     """
     domain = int(attr.domain_size)
-    if domain <= 1:
-        return parent
     keys = np.multiply(parent.cell_of_row, domain, dtype=np.int64)
     keys += attr.codes
     counts, number = _dense(keys, parent.cell_count * domain)
@@ -385,11 +385,11 @@ def assemble_score(
     )
 
 
-def relaxed_score(dataset, members, joint_entropy: float) -> SubsetScore:
+def relaxed_score(dataset, members, partition: RowPartition) -> SubsetScore:
     """The relaxed score of the subset ``members`` (attribute indices) whose
-    joint entropy is ``joint_entropy``. Member entropies are added one at a
-    time in the order given, so every caller that passes members in
-    decreasing-entropy order gets the same bits."""
+    cells are ``partition``. Member entropies are added one at a time in the
+    order given, so every caller that passes members in decreasing-entropy
+    order gets the same bits."""
     entropy_sum = entropy_max = 0.0
     sizes = []
     for i in members:
@@ -401,7 +401,8 @@ def relaxed_score(dataset, members, joint_entropy: float) -> SubsetScore:
         sizes.append(attr.domain_size)
     # a zero normalizer takes no correction, and m0_relaxed needs n >= 2
     bits = correction_relaxed_bits(sizes, dataset.n) if entropy_sum > entropy_max else 0.0
-    return assemble_score(tuple(members), entropy_sum, entropy_max, joint_entropy, bits)
+    return assemble_score(tuple(members), entropy_sum, entropy_max,
+                          entropy(partition.cell_counts, dataset.n), bits)
 
 
 def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
@@ -422,7 +423,7 @@ def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
         raise ValueError(f"oracle correction limited to {ORACLE_MAX_MEMBERS} members")
     part = reduce(refine_partition, (dataset.attributes[i] for i in ordered),
                   RowPartition.trivial(dataset.n))
-    score = relaxed_score(dataset, ordered, entropy(part.cell_counts, dataset.n))
+    score = relaxed_score(dataset, ordered, part)
     if estimator == "relaxed" or score.normalizer <= 0.0:
         return score
     bits = (0.0 if estimator == "plugin" else

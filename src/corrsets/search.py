@@ -22,17 +22,15 @@ import bisect
 import heapq
 import itertools
 import math
+import operator
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
-
 from .estimators import (
     RowPartition,
     SubsetScore,
-    entropy,
     order_attributes,
     refine_partition,
     relaxed_score,
@@ -95,6 +93,7 @@ class TopKStore:
     attributes are never eligible."""
 
     def __init__(self, k: int):
+        k = operator.index(k)  # a float k would never fill the store
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
@@ -157,15 +156,12 @@ _ROOT = SearchNode((), SubsetScore((), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 def _children(ctx: SearchContext, node: SearchNode,
               part: RowPartition) -> Iterator[tuple[SearchNode, RowPartition]]:
     """Every child of ``node``, one per rank above its last member, scored
-    from ``part`` (the node's partition) and yielded with its own
-    partition. A singleton's normalizer is 0, so it scores 0."""
+    from its own refinement of ``part`` (the node's partition) and yielded
+    with it. A singleton's normalizer is 0, so it scores 0."""
     for rank in range(node.last_index + 1, ctx.d):
         child_part = refine_partition(part, ctx.attrs[rank])
-        # a constant attribute keeps the cells, so only a refined partition's
-        # counts are read: a queued one may drop them
-        joint = (node.score.joint_entropy if child_part is part
-                 else entropy(child_part.cell_counts, ctx.dataset.n))
-        score = relaxed_score(ctx.dataset, node.score.members + (ctx.order[rank],), joint)
+        score = relaxed_score(ctx.dataset, node.score.members + (ctx.order[rank],),
+                              child_part)
         yield SearchNode(node.members + (rank,), score), child_part
         del child_part  # not held while the next child is refined
 
@@ -197,10 +193,6 @@ def bound_ref(node: SearchNode, ctx: SearchContext) -> float:
 # when popped, so queue memory stays bounded at any n.
 PARTITION_STORE_BYTES = 64 * 2**20
 
-# A queued partition's cell counts: a scored child's are never read again.
-# A shared empty array, since a slice such as counts[:0] keeps them alive.
-_NO_COUNTS = np.empty(0, dtype=np.int64)
-
 
 def branch_and_bound(
     dataset,
@@ -212,8 +204,9 @@ def branch_and_bound(
 
     On natural termination every returned rank-i entry scores at least
     alpha times the best achievable score at that rank. A ``budget`` in
-    seconds returns the best found so far with ``stats.completed`` False
-    when exceeded; it is checked after every scored child.
+    seconds (None or inf for none; NaN or negative raise ``ValueError``)
+    returns the best found so far with ``stats.completed`` False when
+    exceeded; it is checked after every scored child.
 
     Each queued child keeps its partition's rows (not its cell counts),
     so a popped node is refined only into its children; past
@@ -223,6 +216,8 @@ def branch_and_bound(
     store = TopKStore(k)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
+    if budget is not None and not budget >= 0.0:
+        raise ValueError("budget must be None or >= 0 seconds")
     started = time.perf_counter()
     ctx = SearchContext(dataset)
     stats = SearchStats()
@@ -264,7 +259,7 @@ def branch_and_bound(
                     queued = None  # rebuilt from the root when popped
                     if stored + cells.nbytes <= PARTITION_STORE_BYTES:
                         stored += cells.nbytes
-                        queued = RowPartition(cells, _NO_COUNTS, child_part.cell_count)
+                        queued = RowPartition(cells, None, child_part.cell_count)
                     heapq.heappush(heap, (-potential, child.members, child, queued))
             if out_of_time():
                 break

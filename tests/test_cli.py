@@ -339,6 +339,32 @@ class TestScore:
         assert reports[0]["rejected_rows"] == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["discover", "--k", "3"],
+    ["score", "--set", "top-left,middle-middle,class"],
+])
+def test_drop_constant_names_the_dropped_columns(command, ttt_csv, tmp_path):
+    lines = ttt_csv.read_text(encoding="utf-8").splitlines()
+    const = tmp_path / "const.csv"
+    const.write_text("\n".join([lines[0] + ",const_a,const_b"]
+                               + [line + ",z,0" for line in lines[1:]]) + "\n",
+                     encoding="utf-8")
+
+    def report(path, *flags):
+        out = tmp_path / "report.json"
+        assert main([command[0], "--input", str(path), *command[1:], *flags,
+                     "--json", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    assert "dropped_constant" not in report(const)["dataset"]
+    assert report(ttt_csv, "--drop-constant")["dataset"]["dropped_constant"] == []
+    dropped, plain = report(const, "--drop-constant"), report(ttt_csv)
+    assert dropped["dataset"].pop("dropped_constant") == ["const_a", "const_b"]
+    # apart from the new key, as if the constant columns were never there
+    for key in ("dataset", "results", "stats", "score"):
+        assert dropped.get(key) == plain.get(key)
+
+
 class TestRegret:
     def test_small_grid(self, tmp_path, capsys):
         out = tmp_path / "summary.json"

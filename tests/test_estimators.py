@@ -221,7 +221,11 @@ class TestRefineKernel:
             SimpleNamespace(codes=np.array([0, 1, 0]), domain_size=2),
         )
         const = SimpleNamespace(codes=np.zeros(3, dtype=np.int64), domain_size=1)
-        assert refine_partition(parent, const) is parent
+        # refined like any other attribute, into the parent's cells
+        part = refine_partition(parent, const)
+        assert part.cell_of_row.tolist() == parent.cell_of_row.tolist()
+        assert part.cell_counts.tolist() == parent.cell_counts.tolist()
+        assert part.cell_count == parent.cell_count
 
     def test_single_row(self):
         attr = SimpleNamespace(codes=np.array([2]), domain_size=3)

@@ -211,6 +211,16 @@ class TestTopKStore:
         with pytest.raises(ValueError):
             TopKStore(0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    def test_k_must_be_an_integer(self, k):
+        # a float k never fills the store, so its threshold would stay -inf
+        with pytest.raises(TypeError):
+            TopKStore(k)
+
+    @pytest.mark.parametrize("k, want", [(np.int64(3), 3), (np.uint8(2), 2), (True, 1)])
+    def test_integer_like_k_accepted(self, k, want):
+        assert TopKStore(k).k == want
+
 
 class TestBranchAndBound:
     def test_validations(self):
@@ -225,6 +235,26 @@ class TestBranchAndBound:
         single = EncodedDataset.from_codes(["x"], [np.array([0, 1])], 2)
         with pytest.raises(ValueError):
             branch_and_bound(single)
+
+    def test_float_k_rejected(self):
+        # at k = 2.5 the store never fills and nothing would be pruned
+        ds = random_dataset(np.random.default_rng(0), d=4, n=50)
+        with pytest.raises(TypeError):
+            branch_and_bound(ds, k=2.5)
+        with pytest.raises(TypeError):
+            greedy(ds, k=2.5)
+
+    @pytest.mark.parametrize("budget", [math.nan, -1.0, -math.inf])
+    def test_invalid_budget_rejected(self, budget):
+        ds = random_dataset(np.random.default_rng(0), d=4, n=50)
+        with pytest.raises(ValueError, match="budget"):
+            branch_and_bound(ds, budget=budget)
+
+    @pytest.mark.parametrize("budget", [None, 0, 0.0, math.inf])
+    def test_valid_budgets(self, budget):
+        ds = random_dataset(np.random.default_rng(0), d=4, n=50)
+        _, stats = branch_and_bound(ds, k=2, budget=budget)
+        assert stats.completed == (budget != 0)
 
     def test_visits_every_subset_without_pruning(self):
         # a store that can never fill keeps the threshold at -inf
@@ -393,6 +423,22 @@ def assert_matches_brute_force(store, scores, k):
         assert members in near
 
 
+def oracle_library_calls() -> list[str]:
+    """Names that the brute-force oracle's functions (their nested code
+    included) look up and that resolve, in ``helpers``, to corrsets code."""
+    def names(code):
+        yield from code.co_names
+        for const in code.co_consts:
+            if hasattr(const, "co_names"):
+                yield from names(const)
+
+    oracle = (helpers.brute_force_scores, helpers.subset_joint_entropy,
+              helpers.oracle_entropy, helpers.oracle_relaxed_correction_max)
+    return sorted({name for fn in oracle for name in names(fn.__code__)
+                   if str(getattr(getattr(helpers, name, None), "__module__", ""))
+                   .startswith("corrsets")})
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("n", [10, 11, 13])
     def test_constant_column_pairs_score_zero(self, n):
@@ -409,8 +455,8 @@ class TestAgainstBruteForce:
     def test_score_subset_matches_oracle(self, ds):
         # the searches and score_subset share one scoring function,
         # relaxed_score, so their agreement alone cannot catch a fault in
-        # it; the oracle does not run that function
-        assert not hasattr(helpers, "extend")
+        # it; the oracle calls no corrsets code
+        assert not oracle_library_calls()
         corrected = brute_force_scores(ds)
         plugin = brute_force_scores(ds, corrected=False)
         for members, value in corrected.items():
@@ -539,6 +585,13 @@ def test_score_subset_computes_one_joint_entropy(ttt, m, estimator, monkeypatch)
     assert len(calls) == 1
 
 
+def with_constant_columns(ds):
+    """``ds`` with two constant columns appended, ``const_a`` and ``const_b``."""
+    return EncodedDataset.from_codes(
+        list(ds.names) + ["const_a", "const_b"],
+        [a.codes for a in ds.attributes] + [np.zeros(ds.n, dtype=np.int64)] * 2, ds.n)
+
+
 class TestPartitionStore:
     """bnb carries each queued child's partition, narrow as refined, up to
     a byte cap, and rebuilds it from the root past the cap."""
@@ -563,6 +616,17 @@ class TestPartitionStore:
             assert capped_refines == rebuilds
         else:
             assert stored_refines <= capped_refines <= rebuilds
+
+    @pytest.mark.parametrize("table", ["ttt", "ttt_with_constants"])
+    def test_queued_partitions_hold_no_counts(self, ttt, table, monkeypatch):
+        # a queued partition is only refined further, so a stray read of
+        # its counts fails instead of giving the entropy of no cells
+        ds = ttt if table == "ttt" else with_constant_columns(ttt)
+        queued, push = [], heapq.heappush
+        monkeypatch.setattr(search.heapq, "heappush",
+                            lambda heap, entry: queued.append(entry[-1]) or push(heap, entry))
+        branch_and_bound(ds, k=9)
+        assert queued and all(part.cell_counts is None for part in queued)
 
     @pytest.mark.parametrize("cell_count, dtype", [
         (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
@@ -606,3 +670,13 @@ class TestTicTacToeSearches:
         _, stats = greedy(ttt, k=9)
         assert (stats.nodes_explored, stats.nodes_pruned, stats.max_depth_reached,
                 stats.solution_depth) == (45, 0, 2, 2)
+
+    def test_branch_and_bound_with_constant_columns(self, ttt):
+        # a constant member adds no bits to the entropies but raises the
+        # correction, so each of its sets scores below the set without it
+        store, stats = branch_and_bound(with_constant_columns(ttt), k=9)
+        assert [score.members for _, _, score in store.results] == [
+            (0, 8, 4, 9), (2, 6, 4, 9), (4, 9), (4, 9, 10), (4, 9, 11),
+            (0, 8, 4, 9, 10), (0, 8, 4, 9, 11), (2, 6, 4, 9, 10), (2, 6, 4, 9, 11),
+        ]
+        assert (stats.nodes_explored, stats.nodes_pruned) == (1747, 913)
