@@ -111,7 +111,7 @@ def build_parser() -> _Parser:
     add_data_flags(p_disc)
     p_disc.add_argument("--k", type=_int_from(1), default=1)
     p_disc.add_argument("--alpha", type=_alpha, default=1.0,
-                        help="approximation factor in (0, 1] (default 1)")
+                        help="bnb's approximation factor in (0, 1] (default 1)")
     p_disc.add_argument("--algo", choices=("bnb", "greedy"), default="bnb")
     p_disc.add_argument("--budget", type=_budget, default=None,
                         help="seconds before bnb returns best-so-far (exit 3)")
@@ -405,8 +405,11 @@ def cmd_chance(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "discover" and args.algo != "bnb" and args.budget is not None:
-        parser.error("--budget applies only to --algo bnb")
+    if args.command == "discover" and args.algo != "bnb":
+        if args.budget is not None:
+            parser.error("--budget applies only to --algo bnb")
+        if args.alpha != 1.0:
+            parser.error("--alpha applies only to --algo bnb")
     if args.json == "":
         parser.error("--json needs a file path")
     handlers = {"discover": cmd_discover, "score": cmd_score,

@@ -117,9 +117,11 @@ class EncodedDataset:
             if codes.dtype.kind == "f" and not (  # a cast truncates 1.7 and NaN
                     (np.abs(codes) < 2.0**63) & (np.trunc(codes) == codes)).all():
                 raise DataError(f"column {name!r}: codes must be finite whole numbers")
-            codes = codes.astype(np.int64, copy=False)
-            codes = codes - codes.min(initial=0)  # codes may be negative
-            codes = _dense(codes, int(codes.max(initial=0)) + 1)[1](np.int64)
+            if codes.dtype.kind == "f":
+                codes = codes.astype(np.int64)
+            offsets = codes.astype(np.uint64)  # a copy, where any span is exact
+            offsets -= codes.min(initial=0).astype(np.uint64)  # codes may be negative
+            codes = _dense(offsets, int(offsets.max(initial=0)) + 1)[1](np.int64)
             attrs.append(_make_attribute(name, codes, n))
         return cls(attributes=tuple(attrs), n=n)
 

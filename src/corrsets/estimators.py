@@ -155,7 +155,7 @@ def _dense(keys: np.ndarray, space: int) -> tuple[np.ndarray, partial]:
     rank among the distinct keys."""
     if space > _COUNTING_SPACE_PER_ROW * keys.shape[0]:
         return np.unique(keys, return_counts=True)[1], partial(_number, keys, None)
-    counts = np.bincount(keys, minlength=space)
+    counts = np.bincount(keys.astype(np.intp, copy=False), minlength=space)
     occupied = counts > 0
     return counts[occupied], partial(_number, keys, occupied)
 

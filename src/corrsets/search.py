@@ -12,8 +12,8 @@ correction term is monotone and the two bounding functions are admissible:
   correction term.
 
 Branch-and-bound is best-first on the node potential and prunes a node
-whenever alpha times its potential cannot beat the current k-th best
-score, yielding an alpha-approximation guarantee (exact for alpha = 1).
+whenever alpha times its potential cannot rank before the k-th entry,
+yielding an alpha-approximation guarantee (exact for alpha = 1).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-import math
 import operator
 import time
 from collections.abc import Iterator
@@ -102,21 +101,16 @@ class TopKStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def offer(self, members: tuple[int, ...], score: SubsetScore) -> None:
-        if len(members) < 2:
-            return
-        entry = (-score.corrected_score, members, score)
-        if len(self._entries) == self.k and entry >= self._entries[-1]:
-            return
-        bisect.insort(self._entries, entry)
-        if len(self._entries) > self.k:
-            self._entries.pop()
+    def admits(self, value: float, members: tuple[int, ...]) -> bool:
+        """Whether (value, members) ranks before the k-th entry. An extension of
+        members scoring at most value ranks after it, so a refused bound prunes it."""
+        # [:2] leaves out the SubsetScore, so the k-th entry's own key is refused
+        return len(self._entries) < self.k or (-value, members) < self._entries[-1][:2]
 
-    def threshold(self) -> float:
-        """The k-th best score, or -inf while fewer than k entries exist."""
-        if len(self._entries) < self.k:
-            return -math.inf
-        return -self._entries[-1][0]
+    def offer(self, members: tuple[int, ...], score: SubsetScore) -> None:
+        if len(members) >= 2 and self.admits(score.corrected_score, members):
+            bisect.insort(self._entries, (-score.corrected_score, members, score))
+            del self._entries[self.k:]
 
     @property
     def results(self) -> list[tuple[tuple[int, ...], float, SubsetScore]]:
@@ -203,7 +197,9 @@ def branch_and_bound(
     """Best-first branch-and-bound for the top-k corrected scores.
 
     On natural termination every returned rank-i entry scores at least
-    alpha times the best achievable score at that rank. A ``budget`` in
+    alpha times the best achievable score at that rank; at alpha = 1 the
+    result equals ``exhaustive_topk(dataset, k)``, member tuples included.
+    Below 1 only the score guarantee holds. A ``budget`` in
     seconds (None or inf for none; NaN or negative raise ``ValueError``)
     returns the best found so far with ``stats.completed`` False when
     exceeded; it is checked after every scored child.
@@ -233,8 +229,8 @@ def branch_and_bound(
         return not stats.completed
 
     while heap and not out_of_time():
-        neg_pot, _, node, part = heap[0]
-        if not alpha * -neg_pot > store.threshold():
+        neg_pot, members, node, part = heap[0]
+        if not store.admits(alpha * -neg_pot, members):
             # best-first: nothing left in the queue can qualify
             stats.nodes_pruned += len(heap)
             break
@@ -243,16 +239,16 @@ def branch_and_bound(
             part = ctx.partition_of(node.members)
         else:
             stored -= part.cell_of_row.nbytes
-        # each child is pushed as soon as it passes; the threshold only
-        # rises, so one that a later sibling beats is pruned at the heap-top
-        # cutoff. The budget is checked after every child, so one wide
-        # expansion cannot overrun it
+        # each child is pushed as soon as it passes; the k-th entry only
+        # improves, so one that a later sibling beats is pruned at the
+        # heap-top cutoff. The budget is checked after every child, so one
+        # wide expansion cannot overrun it
         for child, child_part in _children(ctx, node, part):
             stats.count(child, store)
             if child.last_index < ctx.d - 1:  # else no refinements to cut or keep
                 # bound_ref <= bound_mon on every node, so it alone binds
                 potential = bound_ref(child, ctx)
-                if not alpha * potential > store.threshold():
+                if not store.admits(alpha * potential, child.members):
                     stats.nodes_pruned += 1
                 else:  # numbered rows, so the heap holds no int64 keys
                     cells = child_part.cell_of_row
@@ -280,7 +276,7 @@ def _keep_best(children, store: TopKStore, stats: SearchStats):
 def greedy(dataset, k: int = 1) -> tuple[TopKStore, SearchStats]:
     """Level-wise greedy search: score all pairs, then repeatedly refine
     only the best node, stopping when it has no refinements or its
-    refinement bound cannot beat the current k-th best score. The top-k is
+    refinement bound cannot rank before the k-th entry. The top-k is
     collected over every candidate evaluated along the way."""
     store = TopKStore(k)
     started = time.perf_counter()
@@ -292,7 +288,7 @@ def greedy(dataset, k: int = 1) -> tuple[TopKStore, SearchStats]:
     pairs = itertools.chain.from_iterable(_children(ctx, *single) for single in singles)
     best = _keep_best(pairs, store, stats)
     while best is not None and best[0].last_index < ctx.d - 1:
-        if not bound_ref(best[0], ctx) > store.threshold():
+        if not store.admits(bound_ref(best[0], ctx), best[0].members):
             break  # no refinement of the chain can improve the result set
         best = _keep_best(_children(ctx, *best), store, stats)
     return store, stats.finish(ctx.d, store, started)

@@ -67,6 +67,15 @@ class TestDiscover:
         rc = main(["discover", "--input", str(small_csv), "--algo", "greedy"])
         assert rc == 0
 
+    def test_greedy_refuses_alpha(self, small_csv, capsys):
+        # greedy never reads alpha, so a report echoing 0.5 would mislead
+        flags = ["discover", "--input", str(small_csv), "--algo", "greedy", "--alpha"]
+        with pytest.raises(SystemExit) as exc:
+            main(flags + ["0.5"])
+        assert exc.value.code == 1
+        assert "--alpha applies only to --algo bnb" in capsys.readouterr().err
+        assert main(flags + ["1"]) == 0  # the default is no approximation
+
     def test_budget_exit_code(self, ttt_csv):
         rc = main([
             "discover", "--input", str(ttt_csv), "--budget", "0.0",
@@ -246,6 +255,7 @@ def test_plain_path_reports_like_csv_reader(algo, ttt_csv, tmp_path, monkeypatch
     (["regret", "--n-grid", "x"], 1),
     (["regret", "--bands", "a:b"], 1),
     (["chance", "--d", "x"], 1),
+    (["discover", "--input", "{tmp}/x.csv", "--algo", "greedy", "--alpha", "0.5"], 1),
 ])
 def test_error_contract(argv, code, tmp_path, capsys):
     """Bad values exit 1 at parse time, and unreadable input or an output

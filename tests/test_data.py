@@ -569,6 +569,17 @@ class TestEncode:
         assert attr.codes.tolist() == ranks.tolist()
         assert attr.domain_size == len(values)
 
+    @pytest.mark.parametrize("codes", [
+        np.array([-2**63, 2**63 - 1], dtype=np.int64),
+        np.array([0, 2**63], dtype=np.uint64),
+        np.array([-9e18, 9e18]),
+    ])
+    def test_from_codes_spans_of_2_to_the_63_or_more(self, codes):
+        # the offset from the minimum wraps in int64, not in uint64
+        attr = EncodedDataset.from_codes(["v"], [codes], 2).attributes[0]
+        assert attr.codes.tolist() == [0, 1]
+        assert attr.domain_size == 2
+
     def test_from_codes_rejects_fractional_codes(self):
         # a cast to int64 would read [0.5, 1.7, 1.2] as [0, 1, 1]: 2 values, not 3
         with pytest.raises(DataError, match="'f'.*whole numbers"):

@@ -53,6 +53,11 @@ class TestOrderAttributes:
         assert entropies == sorted(entropies, reverse=True)
 
 
+def ranked(store):
+    """A store's (members, value) pairs, best first."""
+    return [(m, v) for m, v, _ in store.results]
+
+
 def children_of(node, ctx):
     """The scored children of a node, refined from its partition."""
     part = ctx.partition_of(node.members)
@@ -184,16 +189,20 @@ class TestTopKStore:
     def make_score(self, members, value):
         return SubsetScore(members, 0, 0, 0, 0, 1, 0, value, value)
 
-    def test_threshold_until_full(self):
+    def test_admits(self):
         store = TopKStore(2)
-        assert store.threshold() == -math.inf
+        assert store.admits(-math.inf, (9, 9))
         store.offer((0, 1), self.make_score((0, 1), 0.5))
-        assert store.threshold() == -math.inf
+        assert store.admits(-1.0, (9, 9))  # not yet full
+        store.offer((1, 2), self.make_score((1, 2), 0.3))
+        assert store.admits(0.4, (9, 9))
+        assert not store.admits(0.2, (0, 0))
+        # at the k-th score only a smaller member tuple ranks before it
+        assert not store.admits(0.3, (1, 2))
+        assert not store.admits(0.3, (1, 3))
+        assert store.admits(0.3, (0, 2))
         store.offer((0, 2), self.make_score((0, 2), 0.3))
-        assert store.threshold() == 0.3
-        store.offer((1, 2), self.make_score((1, 2), 0.4))
-        assert store.threshold() == 0.4
-        assert [m for m, _, _ in store.results] == [(0, 1), (1, 2)]
+        assert [m for m, _, _ in store.results] == [(0, 1), (0, 2)]
 
     def test_singletons_rejected(self):
         store = TopKStore(1)
@@ -213,7 +222,7 @@ class TestTopKStore:
 
     @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
     def test_k_must_be_an_integer(self, k):
-        # a float k never fills the store, so its threshold would stay -inf
+        # a float k never fills the store, so it would admit every bound
         with pytest.raises(TypeError):
             TopKStore(k)
 
@@ -257,7 +266,7 @@ class TestBranchAndBound:
         assert stats.completed == (budget != 0)
 
     def test_visits_every_subset_without_pruning(self):
-        # a store that can never fill keeps the threshold at -inf
+        # a store that can never fill admits every bound
         rng = np.random.default_rng(19)
         ds = random_dataset(rng, d=8, n=40)
         store, stats = branch_and_bound(ds, k=10_000)
@@ -271,10 +280,20 @@ class TestBranchAndBound:
             d = int(rng.integers(4, 9))
             ds = random_dataset(rng, d=d, n=int(rng.integers(20, 120)))
             store, _ = branch_and_bound(ds, k=5)
-            oracle = exhaustive_topk(ds, k=5)
-            assert [v for _, v, _ in store.results] == [
-                v for _, v, _ in oracle.results
-            ]
+            assert ranked(store) == ranked(exhaustive_topk(ds, k=5))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", range(60))
+    def test_ties_match_exhaustive_topk(self, seed, k):
+        # small domains and n tie many scores, a copied column many more;
+        # a bound equal to the k-th score must not prune a smaller tuple
+        rng = np.random.default_rng(seed)
+        d, n = int(rng.integers(3, 7)), int(rng.integers(2, 12))
+        cols = [rng.integers(0, rng.integers(1, 4), n) for _ in range(d)]
+        if seed % 2:
+            cols[-1] = cols[0].copy()
+        ds = EncodedDataset.from_codes([f"A{j}" for j in range(d)], cols, n)
+        assert ranked(branch_and_bound(ds, k=k)[0]) == ranked(exhaustive_topk(ds, k=k))
 
     def test_alpha_guarantee(self):
         rng = np.random.default_rng(23)
@@ -467,9 +486,11 @@ class TestAgainstBruteForce:
     @given(ds=small_tables(), k=st.integers(1, 4))
     @settings(max_examples=80, deadline=None)
     def test_exhaustive_and_bnb_match_oracle(self, ds, k):
-        scores = brute_force_scores(ds)
-        assert_matches_brute_force(exhaustive_topk(ds, k=k), scores, k)
-        assert_matches_brute_force(branch_and_bound(ds, k=k)[0], scores, k)
+        scores, oracle = brute_force_scores(ds), exhaustive_topk(ds, k=k)
+        assert_matches_brute_force(oracle, scores, k)
+        store = branch_and_bound(ds, k=k)[0]
+        assert_matches_brute_force(store, scores, k)
+        assert ranked(store) == ranked(oracle)
 
 
 def counted(fn, *args, **kwargs):
@@ -542,7 +563,7 @@ class TestNumberingCounts:
                 node = SearchNode(members, score)
                 if node.last_index < ds.d - 1:
                     potential = bound_ref(node, ctx)
-                    passed.append(alpha * potential > self.threshold())
+                    passed.append(self.admits(alpha * potential, members))
 
         monkeypatch.setattr(search, "TopKStore", Recording)
         (_, stats), counts = counted(branch_and_bound, ds, k=3, alpha=alpha)
@@ -679,4 +700,4 @@ class TestTicTacToeSearches:
             (0, 8, 4, 9), (2, 6, 4, 9), (4, 9), (4, 9, 10), (4, 9, 11),
             (0, 8, 4, 9, 10), (0, 8, 4, 9, 11), (2, 6, 4, 9, 10), (2, 6, 4, 9, 11),
         ]
-        assert (stats.nodes_explored, stats.nodes_pruned) == (1747, 913)
+        assert (stats.nodes_explored, stats.nodes_pruned) == (1749, 911)

@@ -1,6 +1,7 @@
 import itertools
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ class TestRunRegret:
         assert sorted(p.split("regret_")[-1] for p in paths) == [
             "plugin.tsv", "relaxed.tsv",
         ]
-        lines = open(paths[0]).read().splitlines()
+        lines = Path(paths[0]).read_text().splitlines()
         assert lines[0] == "estimator\tn\tmean_regret\tstderr"
         assert len(lines) == 2
         fields = lines[1].split("\t")
