@@ -212,37 +212,27 @@ def _check_outputs(json_path, out_dir) -> None:
         raise DataError(f"--json {json_path} is a directory")
 
 
-def _write_json(path, report) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_report(args, **blocks) -> None:
+    """Write ``blocks`` under the ``schema_version`` and ``command`` of
+    every report to the ``--json`` path, if one was given."""
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({"schema_version": SCHEMA_VERSION, "command": args.command,
+                       **blocks}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def cmd_discover(args) -> int:
     dataset, summary = _load_dataset(args)
+    started = time.perf_counter()
     if args.algo == "bnb":
         store, stats = branch_and_bound(
             dataset, k=args.k, alpha=args.alpha, budget=args.budget
         )
     else:
         store, stats = greedy(dataset, k=args.k)
+    wall_s = time.perf_counter() - started
     records = _result_records(dataset, store)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "discover",
-        "config": {
-            "input": args.input, "k": args.k, "alpha": args.alpha,
-            "algo": args.algo, "bins": args.bins,
-            "numeric_cols": args.numeric_cols,
-            "drop_constant": args.drop_constant,
-            "budget": args.budget,
-        },
-        "dataset": summary,
-        "results": records,
-        "stats": {key: value for key, value in dataclasses.asdict(stats).items()
-                  if key != "wall_time"},
-        "timing": {"wall_s": stats.wall_time},
-    }
     print(f"dataset: {dataset.n} rows, {dataset.d} attributes")
     print(f"algo={args.algo} k={args.k} alpha={args.alpha}")
     print(f"{'rank':<5}{'score':<11}{'plugin':<11}{'corr':<11}{'depth':<6}members")
@@ -256,10 +246,20 @@ def cmd_discover(args) -> int:
         f"explored {stats.nodes_explored} | pruned {stats.nodes_pruned} | "
         f"prune% {stats.prune_percent:.2f} | max depth {stats.max_depth_reached} | "
         f"solution depth {stats.solution_depth} | "
-        f"time {stats.wall_time:.3f}s"
+        f"time {wall_s:.3f}s"
     )
-    if args.json:
-        _write_json(args.json, report)
+    _write_report(
+        args,
+        config={
+            "input": args.input, "k": args.k, "alpha": args.alpha,
+            "algo": args.algo, "bins": args.bins,
+            "numeric_cols": args.numeric_cols,
+            "drop_constant": args.drop_constant,
+            "budget": args.budget,
+        },
+        dataset=summary, results=records, stats=dataclasses.asdict(stats),
+        timing={"wall_s": wall_s},
+    )
     if not stats.completed:
         print("warning: budget exhausted, result set may be incomplete",
               file=sys.stderr)
@@ -290,15 +290,9 @@ def cmd_score(args) -> int:
             print(f"{key:<18} {value:.6f}")
         else:
             print(f"{key:<18} {value if isinstance(value, str) else ', '.join(value)}")
-    if args.json:
-        _write_json(args.json, {
-            "schema_version": SCHEMA_VERSION,
-            "command": "score",
-            "config": {"input": args.input, "set": names,
-                       "estimator": args.estimator},
-            "dataset": summary,
-            "score": fields,
-        })
+    _write_report(args, config={"input": args.input, "set": names,
+                                "estimator": args.estimator},
+                  dataset=summary, score=fields)
     return EXIT_OK
 
 
@@ -362,23 +356,20 @@ def cmd_regret(args) -> int:
             trials=args.trials * len(cells),
         )
     paths = write_curves_tsv(aggregate, args.out_dir)
-    wall = time.perf_counter() - t0
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "regret",
-        "config": {
+    wall_s = time.perf_counter() - t0
+    for path in paths:
+        print(f"wrote {path}")
+    _write_report(
+        args,
+        config={
             "dims": args.dims, "bands": [list(b) for b in args.bands],
             "n_grid": args.n_grid, "trials": args.trials,
             "estimators": estimators, "seed": args.seed,
         },
-        "cells": cells,
-        "aggregate": {est: _curve_dict(c) for est, c in aggregate.items()},
-        "timing": {"wall_s": wall},
-    }
-    for path in paths:
-        print(f"wrote {path}")
-    if args.json:
-        _write_json(args.json, report)
+        cells=cells,
+        aggregate={est: _curve_dict(c) for est, c in aggregate.items()},
+        timing={"wall_s": wall_s},
+    )
     return EXIT_OK
 
 
@@ -387,18 +378,9 @@ def cmd_chance(args) -> int:
     print("cardinality\tplugin_bits\tcorrected_bits")
     for rec in records:
         print(f"{rec.cardinality}\t{rec.plugin_bits:.10g}\t{rec.corrected_bits:.10g}")
-    if args.json:
-        _write_json(args.json, {
-            "schema_version": SCHEMA_VERSION,
-            "command": "chance",
-            "config": {"d": args.d, "domain": args.domain,
-                       "n": args.n, "seed": args.seed},
-            "records": [
-                {"cardinality": r.cardinality, "plugin_bits": r.plugin_bits,
-                 "corrected_bits": r.corrected_bits}
-                for r in records
-            ],
-        })
+    _write_report(args, config={"d": args.d, "domain": args.domain,
+                                "n": args.n, "seed": args.seed},
+                  records=[dataclasses.asdict(r) for r in records])
     return EXIT_OK
 
 

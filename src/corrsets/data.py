@@ -553,6 +553,9 @@ def encode(table: RawTable, bins: int = 5, numeric_cols="auto") -> EncodedDatase
     """
     if table.row_count < 2:
         raise DataError("need at least 2 rows: correction terms divide by n - 1")
+    if isinstance(numeric_cols, str) and numeric_cols not in ("auto", "none"):
+        raise DataError(f"numeric_cols {numeric_cols!r}: expected 'auto', 'none' "
+                        "or a list of column names")
     auto = numeric_cols == "auto"
     numeric = set() if auto or numeric_cols == "none" else set(numeric_cols)
     unknown = numeric - set(table.column_names)

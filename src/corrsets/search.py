@@ -125,11 +125,9 @@ class SearchStats:
     prune_percent: float = 0.0
     max_depth_reached: int = 0
     solution_depth: int = 0
-    wall_time: float = 0.0
     completed: bool = True
 
-    def finish(self, d: int, store: TopKStore, started: float) -> "SearchStats":
-        self.wall_time = time.perf_counter() - started
+    def finish(self, d: int, store: TopKStore) -> "SearchStats":
         # int / int is correctly rounded at any d: it never overflows
         self.prune_percent = 100.0 * (1.0 - self.nodes_explored / 2**d)
         if store.results:
@@ -259,7 +257,7 @@ def branch_and_bound(
                     heapq.heappush(heap, (-potential, child.members, child, queued))
             if out_of_time():
                 break
-    return store, stats.finish(ctx.d, store, started)
+    return store, stats.finish(ctx.d, store)
 
 
 def _keep_best(children, store: TopKStore, stats: SearchStats):
@@ -279,7 +277,6 @@ def greedy(dataset, k: int = 1) -> tuple[TopKStore, SearchStats]:
     refinement bound cannot rank before the k-th entry. The top-k is
     collected over every candidate evaluated along the way."""
     store = TopKStore(k)
-    started = time.perf_counter()
     ctx = SearchContext(dataset)
     stats = SearchStats()
     # the last singleton has no pairs, so it is never refined; one pass
@@ -291,7 +288,7 @@ def greedy(dataset, k: int = 1) -> tuple[TopKStore, SearchStats]:
         if not store.admits(bound_ref(best[0], ctx), best[0].members):
             break  # no refinement of the chain can improve the result set
         best = _keep_best(_children(ctx, *best), store, stats)
-    return store, stats.finish(ctx.d, store, started)
+    return store, stats.finish(ctx.d, store)
 
 
 def walk(dataset) -> Iterator[SearchNode]:

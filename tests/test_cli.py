@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from corrsets import cli
 from corrsets import data as data_module
 from corrsets.cli import main
+from corrsets.search import SearchStats
 from helpers import src_env
 
 
@@ -375,6 +377,30 @@ def test_drop_constant_names_the_dropped_columns(command, ttt_csv, tmp_path):
         assert dropped.get(key) == plain.get(key)
 
 
+@pytest.mark.parametrize("argv, blocks", [
+    (["discover", "--input", "{ttt}", "--k", "2"],
+     {"config", "dataset", "results", "stats", "timing"}),
+    (["score", "--input", "{ttt}", "--set", "top-left,class"], {"config", "dataset", "score"}),
+    (["chance", "--d", "3", "--n", "50"], {"config", "records"}),
+    (["regret", "--dims", "2", "--bands", "0.0:1.0", "--n-grid", "10", "--trials", "2",
+      "--out-dir", "{tmp}"], {"config", "cells", "aggregate", "timing"}),
+])
+def test_report_envelope(argv, blocks, ttt_csv, tmp_path):
+    # every report has one envelope; stats holds the search's counts, and
+    # the time goes only in timing
+    argv = [arg.format(ttt=ttt_csv, tmp=tmp_path) for arg in argv]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"schema_version", "command"} | blocks
+    assert report["schema_version"] == cli.SCHEMA_VERSION
+    assert report["command"] == argv[0]
+    assert set(report.get("timing", {"wall_s": 0.0})) == {"wall_s"}
+    if "stats" in report:
+        assert set(report["stats"]) == {field.name for field in dataclasses.fields(SearchStats)}
+        assert not any("time" in key for key in report["stats"])
+
+
 class TestRegret:
     def test_small_grid(self, tmp_path, capsys):
         out = tmp_path / "summary.json"
@@ -394,6 +420,19 @@ class TestRegret:
         tsv = (tmp_path / "regret_relaxed.tsv").read_text().splitlines()
         assert tsv[0] == "estimator\tn\tmean_regret\tstderr"
         assert len(tsv) == 3
+
+    def test_single_trial(self, tmp_path):
+        out = tmp_path / "summary.json"
+        rc = main([
+            "regret", "--dims", "2,3", "--bands", "0.1:0.4", "--n-grid", "20,30",
+            "--trials", "1", "--out-dir", str(tmp_path), "--json", str(out),
+        ])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        curves = [c for cell in report["cells"] for c in cell["curves"].values()]
+        curves += report["aggregate"].values()
+        assert len(curves) == 6
+        assert all(c["stderr"] == [0.0, 0.0] for c in curves)
 
     def test_estimator_selection(self, tmp_path):
         rc = main([

@@ -360,6 +360,14 @@ class TestEncode:
         with pytest.raises(DataError, match="unknown numeric"):
             encode(table, numeric_cols=["nope"])
 
+    @pytest.mark.parametrize("numeric_cols", ["ab", "price", "", "Auto"])
+    def test_string_numeric_cols_other_than_auto_or_none(self, numeric_cols):
+        # a string is not read as a set of column names, one per character
+        table = RawTable(("a", "b", "c"), (("1", "2", "3"),) * 3, 3)
+        with pytest.raises(DataError, match=f"numeric_cols {numeric_cols!r}: "
+                           "expected 'auto', 'none' or a list of column names"):
+            encode(table, numeric_cols=numeric_cols)
+
     def test_non_finite_tokens_stay_categorical_under_auto(self):
         table = RawTable(("a",), (("inf", "1", "2", "1"),), 4)
         ds = encode(table)  # auto-detection must not pick this column

@@ -215,7 +215,7 @@ class TestRefineKernel:
             refine_partition(parent, attr), unique_refine(parent, attr)
         )
 
-    def test_constant_attribute_returns_parent(self):
+    def test_constant_attribute_keeps_parent_cells(self):
         parent = refine_partition(
             RowPartition.trivial(3),
             SimpleNamespace(codes=np.array([0, 1, 0]), domain_size=2),

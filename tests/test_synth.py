@@ -260,6 +260,15 @@ class TestRunRegret:
         curves = run_regret(spec, ["plugin", "relaxed"], n_grid=[50], trials=30, seed=3)
         assert curves["relaxed"].mean_regret[0] <= curves["plugin"].mean_regret[0]
 
+    def test_single_trial_has_zero_stderr(self, spec):
+        # one trial has no spread to estimate: stderr is 0, not NaN
+        curves = run_regret(spec, ["plugin", "relaxed", "population"],
+                            n_grid=[10, 20, 40], trials=1, seed=5)
+        for curve in curves.values():
+            assert curve.trials == 1
+            assert curve.stderr == (0.0, 0.0, 0.0)
+            assert all(0.0 <= m <= spec.true_max_w for m in curve.mean_regret)
+
     def test_validations(self, spec):
         with pytest.raises(ValueError, match="unknown estimator"):
             run_regret(spec, ["nope"], n_grid=[10], trials=1)
