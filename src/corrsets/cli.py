@@ -151,16 +151,21 @@ def build_parser() -> _Parser:
 
 
 def _load_dataset(args):
-    """The encoded input and the ``dataset`` block of its JSON report."""
+    """The encoded input, the ``dataset`` block of its JSON report, and the
+    seconds spent reading and parsing it and encoding it."""
+    started = time.perf_counter()
     with open(args.input, "rb") as fh:
         table = parse_csv(fh.read(), has_header=not args.no_header)
+    parse_s = time.perf_counter() - started
     if table.rejected_rows:
         print(f"note: dropped {table.rejected_rows} rows with empty fields",
               file=sys.stderr)
     cols = args.numeric_cols
     if cols not in ("auto", "none"):
         cols = [c for c in cols.split(",") if c]
+    started = time.perf_counter()
     dataset = encode(table, bins=args.bins, numeric_cols=cols)
+    timing = {"parse_s": parse_s, "encode_s": time.perf_counter() - started}
     for a in dataset.attributes:
         if a.non_finite:
             print(f"note: kept column {a.name!r} categorical: it holds a non-finite number",
@@ -187,7 +192,7 @@ def _load_dataset(args):
             for a in dataset.attributes
         ],
         **dropped,
-    }
+    }, timing
 
 
 def _result_records(dataset, store: TopKStore) -> list[dict]:
@@ -223,7 +228,7 @@ def _write_report(args, **blocks) -> None:
 
 
 def cmd_discover(args) -> int:
-    dataset, summary = _load_dataset(args)
+    dataset, summary, timing = _load_dataset(args)
     started = time.perf_counter()
     if args.algo == "bnb":
         store, stats = branch_and_bound(
@@ -258,7 +263,7 @@ def cmd_discover(args) -> int:
             "budget": args.budget,
         },
         dataset=summary, results=records, stats=dataclasses.asdict(stats),
-        timing={"wall_s": wall_s},
+        timing={**timing, "wall_s": wall_s},
     )
     if not stats.completed:
         print("warning: budget exhausted, result set may be incomplete",
@@ -268,7 +273,7 @@ def cmd_discover(args) -> int:
 
 
 def cmd_score(args) -> int:
-    dataset, summary = _load_dataset(args)
+    dataset, summary, _ = _load_dataset(args)
     names = [tok.strip() for tok in args.attr_set.split(",") if tok.strip()]
     members = [dataset.index_of(name) for name in names]
     if len(members) < 2:

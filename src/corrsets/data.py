@@ -151,9 +151,12 @@ _CHUNK_BYTES = 1 << 20  # the plain path checks and tokenizes this much at a tim
 
 class _ByteTokens(Sequence):
     """A column of tokens kept as byte spans ``buf[starts[i]:ends[i]]`` of
-    one UTF-8 buffer that all columns of a table share. It reads and
-    compares as the tuple of its tokens. ``encode`` codes a column of
-    tokens of at most 8 bytes from the bytes, without a string per token."""
+    one UTF-8 buffer that all columns of a table share. From
+    ``_parse_plain``, ``starts`` and ``ends`` are each one contiguous run,
+    so a pass over a column reads its own offsets and no other column's.
+    It reads and compares as the tuple of its tokens. ``encode`` codes a
+    column of tokens of at most 8 bytes from the bytes, without a string
+    per token."""
 
     def __init__(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         self.buf, self.starts, self.ends = buf, starts, ends
@@ -203,11 +206,13 @@ class _ByteTokens(Sequence):
         """The tokens at ``rows``, a slice or mask, over the same buffer."""
         return _ByteTokens(self.buf, self.starts[rows], self.ends[rows])
 
-    def _words(self, skip: int) -> np.ndarray:
-        """Bytes ``skip`` to ``skip + 8`` from each token's start, bytes past
-        the token included, as one unaligned little-endian ``uint64`` read."""
-        words = np.ndarray(len(self.buf) - 7, "<u8", self.buf, strides=(1,))
-        return words[self.starts + skip]
+    def _words(self, count: int) -> np.ndarray:
+        """The ``8 * count`` bytes from each token's start, bytes past the
+        token included, gathered at once as a row of ``count`` unaligned
+        little-endian ``uint64`` words per token."""
+        size = 8 * count
+        windows = np.ndarray(len(self.buf) - size + 1, f"V{size}", self.buf, strides=(1,))
+        return windows[self.starts].view("<u8").reshape(len(self), count)
 
     def keys(self) -> np.ndarray | None:
         """One ``uint64`` per token, equal exactly where the tokens are:
@@ -216,7 +221,7 @@ class _ByteTokens(Sequence):
         lens = self.ends - self.starts
         if lens.max(initial=0) > 8:
             return None
-        return self._words(0) & _LOW_BYTES[lens]
+        return self._words(1)[:, 0] & _LOW_BYTES[lens]
 
     def decimals(self) -> tuple[np.ndarray, np.ndarray]:
         """Each token's value as ``float()`` gives it, read from its bytes,
@@ -228,17 +233,17 @@ class _ByteTokens(Sequence):
         for its f digits after the dot, negated for a ``-``: one correctly
         rounded division of two exact doubles, so it is the correctly
         rounded decimal that ``float()`` returns (Clinger's fast path). The
-        two words of 8 bytes are read as digits 8 at a time (Lemire's SWAR
-        parse). A masked token's value is arbitrary.
+        first 16 bytes are gathered at once and read as two words of 8
+        digits (Lemire's SWAR parse). A masked token's value is arbitrary.
         """
         lens = self.ends - self.starts
         short = np.minimum(lens, 16)
         head = np.minimum(short, 8)
         # each byte minus '0': digits become 0-9 and bytes past the token 0
-        lo, hi = self._words(0), self._words(8)
-        lo ^= _ASCII_ZEROS
+        words = self._words(2)
+        words ^= _ASCII_ZEROS
+        lo, hi = words.T
         lo &= _LOW_BYTES[head]
-        hi ^= _ASCII_ZEROS
         hi &= _LOW_BYTES[short - head]
         first = lo & _U64(0xFF)
         negative = first == _U64(ord("-") ^ 0x30)
@@ -318,17 +323,21 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
     ``csv.field_size_limit()`` bytes. As in ``_parse_reader``, blank lines
     are skipped and rows with an empty field are dropped and counted. On
     plain input the table equals the one ``_parse_reader`` gives. The bytes
-    are walked in chunks cut after a line feed: each is checked as UTF-8,
-    and its field separators are found with one ``np.flatnonzero``. Each
-    column is a ``_ByteTokens`` over one padded copy of the input.
+    are walked in chunks cut after a line feed: each is checked as UTF-8
+    (an ASCII chunk needs no decode), and its field separators are found
+    with one ``np.flatnonzero``. Each chunk's spans are written column by
+    column into (column, row) offset arrays, sized once from the count of
+    line feeds, so each column's spans are one contiguous run. Each column
+    is a ``_ByteTokens`` over one padded copy of the input.
     """
     if isinstance(data, str):
         try:
             data = data.encode()
         except UnicodeEncodeError:  # a lone surrogate
             return None
+    crlf = b"\r" in data
     if (b'"' in data or b"\0" in data  # csv before 3.11 refuses NUL
-            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+            or crlf and data.count(b"\r") != data.count(b"\r\n")):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
     stop = len(data)
@@ -340,14 +349,15 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
     limit = csv.field_size_limit()
     offset = np.int32 if len(data) < 2**31 else np.int64
     d = None
-    spans = []
-    width = rejected = 0
+    rows = width = rejected = 0
     while start < stop:
         end = data.find(b"\n", start + _CHUNK_BYTES, stop) + 1 or stop
-        try:
-            data[start:end].decode()
-        except UnicodeDecodeError:
-            return None
+        piece = data[start:end]
+        if not piece.isascii():
+            try:
+                piece.decode()
+            except UnicodeDecodeError:
+                return None
         chunk = raw[start:end]
         newline = chunk == ord("\n")
         seps = np.flatnonzero(newline | (chunk == ord(",")))
@@ -359,7 +369,7 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
         starts = np.concatenate(([start], seps[:-1] + 1))
         # every CR is in a CRLF, so data[-1] is not one, and a field never
         # ends in one: a CR before a separator ends a line
-        ends = seps - (raw[seps - 1] == ord("\r"))
+        ends = seps - (raw[seps - 1] == ord("\r")) if crlf else seps
         lens = ends - starts
         width = max(width, int(lens.max()))
         if width > limit:
@@ -375,28 +385,37 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
                 names = tuple(data[s:e].decode() for s, e in zip(starts[:d], ends[:d]))
                 if len(set(names)) != d:
                     return None  # duplicate names
+            # (starts or ends, column, row); a file holds no more rows than lines
+            spans = np.empty((2, d, np.count_nonzero(raw == ord("\n")) + 1), dtype=offset)
         if ((fields != d) & ~blank).any():
             return None
         if blank.any():  # csv skips blank lines
             kept = np.repeat(~blank, fields)
             starts, ends, lens = starts[kept], ends[kept], lens[kept]
-        starts, ends = starts.reshape(-1, d), ends.reshape(-1, d)
+        firsts, ends = starts[::d], ends.reshape(-1, d)
         empty = (lens.reshape(-1, d) == 0).any(axis=1)
-        empty[:int(has_header and not spans)] = False  # the header row stays
+        empty[:int(has_header and not rows)] = False  # the header row stays
         if empty.any():
             rejected += int(empty.sum())
-            starts, ends = starts[~empty], ends[~empty]
-        spans.append((starts.astype(offset), ends.astype(offset)))
+            firsts, ends = firsts[~empty], ends[~empty]
+        column_starts, column_ends = spans[:, :, rows:rows + len(ends)]
+        column_ends[...] = ends.T
+        # any other field starts one past the comma that ends the field
+        # before it, since only a line's last field can end before a CR
+        column_starts[0] = firsts
+        np.add(column_ends[:-1], 1, out=column_starts[1:])
+        rows += len(ends)
         start = end
-    starts, ends = (np.concatenate(side)[int(has_header):] for side in zip(*spans))
     if not has_header:
         names = tuple(f"X{j + 1}" for j in range(d))
     buf = np.zeros(len(data) + max(width, 16), dtype=np.uint8)  # decimals read 16+ bytes
     buf[:len(data)] = raw
+    first = int(has_header)
     return RawTable(
         column_names=names,
-        columns=tuple(_ByteTokens(buf, starts[:, j], ends[:, j]) for j in range(d)),
-        row_count=len(starts), rejected_rows=rejected,
+        columns=tuple(_ByteTokens(buf, spans[0, j, first:rows], spans[1, j, first:rows])
+                      for j in range(d)),
+        row_count=rows - first, rejected_rows=rejected,
     )
 
 
@@ -535,7 +554,7 @@ def _first_occurrence_codes(column) -> np.ndarray:
     rank = np.empty(len(firsts), dtype=np.int64)
     rank[np.argsort(first_row)] = np.arange(len(firsts))
     codes = np.empty(len(keys), dtype=np.int64)
-    codes[order] = rank[np.cumsum(new) - 1]
+    codes[order] = np.repeat(rank, np.diff(firsts, append=len(keys)))
     return codes
 
 

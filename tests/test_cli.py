@@ -187,7 +187,8 @@ class TestDiscover:
 
 def discover_like_csv(path, n=600):
     """A seeded table shaped like the benchmark's discover input: ID-like
-    and categorical text columns, numeric columns, and a few empty fields."""
+    and categorical text columns, numeric columns, and a few empty fields,
+    two near the top and one more every 30,000 rows."""
     rng = np.random.default_rng(7)
     user = rng.integers(0, 120, n)
     region = rng.integers(0, 6, n)
@@ -199,6 +200,8 @@ def discover_like_csv(path, n=600):
         "score": [f"{v:.6f}" for v in rng.random(n) * 10],
     }
     columns["score"][5] = columns["region"][9] = ""
+    for row in range(30_000, n, 30_000):
+        columns["amount"][row] = ""
     lines = [",".join(columns)] + [",".join(row) for row in zip(*columns.values())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -207,17 +210,21 @@ def discover_like_csv(path, n=600):
 @pytest.mark.parametrize("algo", ["greedy", "bnb"])
 def test_plain_path_reports_like_csv_reader(algo, ttt_csv, tmp_path, monkeypatch, capsys):
     like = discover_like_csv(tmp_path / "like.csv")
+    # three chunks of the plain path, each dropping a row with an empty field
+    big = discover_like_csv(tmp_path / "big.csv", n=72_000)
+    assert big.stat().st_size > 2 * data_module._CHUNK_BYTES
     runs = []
     for plain in (True, False):
         if not plain:
             monkeypatch.setattr(data_module, "_parse_plain", lambda *args: None)
-        for path in (like, ttt_csv):
+        for path in (like, big, ttt_csv):
             out = tmp_path / f"{plain}-{path.stem}.json"
             assert main(["discover", "--input", str(path), "--algo", algo,
                          "--k", "5", "--json", str(out)]) == 0
             runs.append((strip_timing(out), capsys.readouterr().err))
-    assert runs[:2] == runs[2:]
+    assert runs[:3] == runs[3:]
     assert runs[0][1] == "note: dropped 2 rows with empty fields\n"
+    assert runs[1][1] == "note: dropped 4 rows with empty fields\n"
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -395,7 +402,9 @@ def test_report_envelope(argv, blocks, ttt_csv, tmp_path):
     assert set(report) == {"schema_version", "command"} | blocks
     assert report["schema_version"] == cli.SCHEMA_VERSION
     assert report["command"] == argv[0]
-    assert set(report.get("timing", {"wall_s": 0.0})) == {"wall_s"}
+    if "timing" in report:  # discover times its ingest apart from its search
+        expected = {"parse_s", "encode_s", "wall_s"} if argv[0] == "discover" else {"wall_s"}
+        assert set(report["timing"]) == expected
     if "stats" in report:
         assert set(report["stats"]) == {field.name for field in dataclasses.fields(SearchStats)}
         assert not any("time" in key for key in report["stats"])

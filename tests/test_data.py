@@ -200,6 +200,12 @@ class TestParseCsv:
     @example(text="\na,b\nx,y\n", as_bytes=False, has_header=False, chunk=1)
     @example(text="a,b\n\nx\n", as_bytes=False, has_header=True, chunk=8)
     @example(text="a,a\nx,y\n", as_bytes=False, has_header=True, chunk=1)
+    # a chunk that is not ASCII is decoded: invalid only after ASCII chunks,
+    # valid after them; and a CR first seen in a later chunk
+    @example(text="a,b\nx,y\nz,\ud800\n", as_bytes=True, has_header=True, chunk=1)
+    @example(text="a,b\nx,y\n\u00e9,z\n", as_bytes=True, has_header=True, chunk=1)
+    @example(text="a,b\nx,y\nz,w\r\nu,v\r\nt,s\n", as_bytes=True,
+             has_header=True, chunk=3)
     @settings(max_examples=1000, deadline=None)
     def test_matches_csv_reader(self, text, as_bytes, has_header, chunk):
         data = text.encode("utf-8", "surrogatepass") if as_bytes else text
@@ -227,6 +233,8 @@ class TestParseCsv:
         table = parse_csv(data)
         for column in table.columns:
             assert isinstance(column, _ByteTokens)
+            for offsets in (column.starts, column.ends):  # one run per column
+                assert offsets.ndim == 1 and offsets.flags.c_contiguous
             assert column[1:3] == tuple(column)[1:3]
             assert hash(column) == hash(tuple(column))
             assert repr(column) == repr(tuple(column))
