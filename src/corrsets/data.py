@@ -1,10 +1,10 @@
 """CSV ingestion, categorical encoding, and equal-frequency discretization.
 
-Raw tables hold text tokens; encoding maps each column to dense integer
-codes in first-occurrence order and records the observed domain size and
-marginal entropy per attribute. Domain sizes are always observed
-distinct-value counts, never declared schemas, because every downstream
-correction term is a function of the empirical table.
+Raw tables hold every column as UTF-8 byte spans; encoding maps each
+column to dense integer codes in first-occurrence order and records the
+observed domain size and marginal entropy per attribute. Domain sizes are
+always observed distinct-value counts, never declared schemas, because
+every downstream correction term is a function of the empirical table.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .estimators import _dense, entropy
 
@@ -42,14 +41,21 @@ class ParseError(DataError):
 
 @dataclass(frozen=True)
 class RawTable:
-    """Column-major text table. Each column is a sequence of tokens equal to
-    the tuple of them. ``rejected_rows`` counts rows dropped for containing
-    empty fields (missing values are not imputed)."""
+    """Column-major text table. Every column is kept as UTF-8 byte spans and
+    reads and compares as the tuple of its tokens; a sequence of ``str`` is
+    converted when the table is built, and any other token is a DataError.
+    ``rejected_rows`` counts rows dropped for containing empty fields
+    (missing values are not imputed)."""
 
     column_names: tuple[str, ...]
     columns: tuple[Sequence[str], ...]
     row_count: int
     rejected_rows: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(
+            column if isinstance(column, _ByteTokens) else _ByteTokens.of(column, name)
+            for name, column in zip(self.column_names, self.columns, strict=True)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,15 +157,31 @@ _CHUNK_BYTES = 1 << 20  # the plain path checks and tokenizes this much at a tim
 
 class _ByteTokens(Sequence):
     """A column of tokens kept as byte spans ``buf[starts[i]:ends[i]]`` of
-    one UTF-8 buffer that all columns of a table share. From
-    ``_parse_plain``, ``starts`` and ``ends`` are each one contiguous run,
-    so a pass over a column reads its own offsets and no other column's.
-    It reads and compares as the tuple of its tokens. ``encode`` codes a
-    column of tokens of at most 8 bytes from the bytes, without a string
-    per token."""
+    one UTF-8 buffer, followed by 16 zero bytes for ``_words``. All columns
+    from ``_parse_plain`` share one, each with its ``starts`` and ``ends`` in
+    one contiguous run. It reads and compares as the tuple of its tokens.
+    ``encode`` codes it from its bytes."""
 
     def __init__(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         self.buf, self.starts, self.ends = buf, starts, ends
+
+    @classmethod
+    def of(cls, tokens: Sequence[str], name: str) -> "_ByteTokens":
+        """Column ``name`` of ``str`` ``tokens``, encoded once, lone surrogates
+        passed through; a span ends at the count of characters before it, or
+        past a character of several bytes at the lead byte that count reaches."""
+        try:
+            raw = np.frombuffer("".join(tokens).encode("utf-8", "surrogatepass"), np.uint8)
+        except TypeError as exc:
+            raise DataError(f"column {name!r}: {exc}") from None
+        offset = np.int32 if len(raw) < 2**31 else np.int64
+        lengths = np.fromiter(map(len, tokens), offset, len(tokens))
+        ends = np.cumsum(lengths, dtype=offset)
+        starts = ends - lengths
+        if len(raw) > lengths.sum():  # a character of more than one byte
+            leads = np.flatnonzero(np.append((raw & 0xC0) != 0x80, True))
+            starts, ends = leads[starts].astype(offset), leads[ends].astype(offset)
+        return cls(np.concatenate((raw, np.zeros(16, dtype=np.uint8))), starts, ends)
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -167,29 +189,22 @@ class _ByteTokens(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self)[i]
-        return self.buf[self.starts[i]:self.ends[i]].tobytes().decode()
+        return bytes(self.buf[self.starts[i]:self.ends[i]]).decode("utf-8", "surrogatepass")
 
     def __iter__(self):
-        """Decode the whole column at once: gather every token and one
-        separator slot after it, write commas there, split the text. The
-        gather copies one padded row per token, unless padding would more
-        than double the bytes, as a few long tokens among short ones do:
-        then it gathers byte by byte, which is faster beyond about three
-        times and never needs more than a fixed multiple of the bytes."""
-        if not len(self):
-            return iter(())
+        """Decode the whole column at once: gather every token and a
+        separator slot after it byte by byte, in a fixed multiple of the
+        tokens' bytes, write commas there, split the text. Unless that gives
+        one token per span, as when a token holds a comma, decode each."""
         lens = self.ends - self.starts
-        width = int(lens.max()) + 1
-        if len(self) * width <= 2 * int(lens.sum() + len(self)):
-            rows = sliding_window_view(self.buf, width)[self.starts]
-            rows[np.arange(len(self)), lens] = ord(",")
-            text = rows[np.arange(width) <= lens[:, None]]
-        else:
-            stops = np.cumsum(lens + 1)  # just past each token's separator slot
-            text = self.buf[np.repeat(self.starts - (stops - lens - 1), lens + 1)
-                            + np.arange(stops[-1])]
-            text[stops - 1] = ord(",")
-        return iter(text[:-1].tobytes().decode().split(","))
+        stops = np.cumsum(lens + 1)  # just past each token's separator slot
+        text = self.buf[np.repeat(self.starts - (stops - lens - 1), lens + 1)
+                        + np.arange(len(self) + lens.sum())]
+        text[stops - 1] = ord(",")
+        tokens = text[:-1].tobytes().decode("utf-8", "surrogatepass").split(",")
+        if len(tokens) == len(self):
+            return iter(tokens)
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _ByteTokens)):
@@ -214,14 +229,30 @@ class _ByteTokens(Sequence):
         windows = np.ndarray(len(self.buf) - size + 1, f"V{size}", self.buf, strides=(1,))
         return windows[self.starts].view("<u8").reshape(len(self), count)
 
-    def keys(self) -> np.ndarray | None:
-        """One ``uint64`` per token, equal exactly where the tokens are:
-        the token's bytes zero-padded to 8 (NUL is never in a plain token).
-        None when a token is longer than 8 bytes."""
+    def keys(self) -> np.ndarray:
+        """An integer per token, equal exactly where the tokens are. A
+        token's first 8 bytes, then 0xFF bytes, which UTF-8 never holds (so
+        "a" and "a\\0" differ), make a ``uint64``. While tokens past 8 bytes
+        share a rank, they are ranked by it and their next 8 bytes."""
         lens = self.ends - self.starts
-        if lens.max(initial=0) > 8:
-            return None
-        return self._words(1)[:, 0] & _LOW_BYTES[lens]
+        wide = lens.max(initial=0) > 8
+        keys = self._words(1)[:, 0] | _PAST_BYTES[np.minimum(lens, 8) if wide else lens]
+        if not wide:
+            return keys
+        keys = np.unique(keys, return_inverse=True)[1]
+        rows, at = np.flatnonzero(lens > 8), 8
+        while len(rows):  # each byte read once, and none past a unique rank
+            starts = self.starts[rows] + at
+            word = _ByteTokens(self.buf, starts, starts + np.minimum(lens[rows] - at, 8)).keys()
+            rank = keys[rows]
+            order = np.argsort(word)  # equal pairs next to each other, faster than lexsort
+            order = order[np.argsort(rank[order], kind="stable")]
+            new = (np.diff(word[order]) != 0) | (np.diff(rank[order]) != 0)
+            rank[order] = np.cumsum(np.append(0, new))
+            keys[rows] = rank + len(keys) * at // 8  # apart from every earlier rank
+            at += 8
+            rows = rows[(lens[rows] > at) & (np.bincount(rank)[rank] > 1)]
+        return keys
 
     def decimals(self) -> tuple[np.ndarray, np.ndarray]:
         """Each token's value as ``float()`` gives it, read from its bytes,
@@ -282,6 +313,7 @@ class _ByteTokens(Sequence):
 
 _U64 = np.uint64
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_PAST_BYTES = ~_LOW_BYTES  # 0xFF in every byte of a word after its first k
 _POW10 = np.array([10**k for k in range(17)], dtype=np.uint64)
 _FLOAT_POW10 = np.array([10.0**k for k in range(17)])  # exact doubles up to 10**22
 _ASCII_ZEROS = _U64(0x30 * 0x0101010101010101)
@@ -393,9 +425,9 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
             kept = np.repeat(~blank, fields)
             starts, ends, lens = starts[kept], ends[kept], lens[kept]
         firsts, ends = starts[::d], ends.reshape(-1, d)
-        empty = (lens.reshape(-1, d) == 0).any(axis=1)
-        empty[:int(has_header and not rows)] = False  # the header row stays
-        if empty.any():
+        if not lens.all():
+            empty = (lens.reshape(-1, d) == 0).any(axis=1)
+            empty[:int(has_header and not rows)] = False  # the header row stays
             rejected += int(empty.sum())
             firsts, ends = firsts[~empty], ends[~empty]
         column_starts, column_ends = spans[:, :, rows:rows + len(ends)]
@@ -408,8 +440,7 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
         start = end
     if not has_header:
         names = tuple(f"X{j + 1}" for j in range(d))
-    buf = np.zeros(len(data) + max(width, 16), dtype=np.uint8)  # decimals read 16+ bytes
-    buf[:len(data)] = raw
+    buf = np.concatenate((raw, np.zeros(16, dtype=np.uint8)))
     first = int(has_header)
     return RawTable(
         column_names=names,
@@ -509,14 +540,13 @@ def discretize_equal_frequency(values, bins: int):
 _PROBE_TOKENS = 64
 
 
-def _floats(column, name: str) -> np.ndarray:
+def _floats(column: _ByteTokens, name: str) -> np.ndarray:
     """Parse a column's tokens as ``float()`` does. A text column fails on
-    its first token, so the rest of it is never read or decoded. A byte
-    column of mostly plain decimals is read from its bytes, and only its
-    other tokens are decoded."""
+    its first token, so the rest of it is never read or decoded. A column
+    of mostly plain decimals is read from its bytes, and only its other
+    tokens are decoded."""
     _parse_floats((column[0],), name)
-    if (not isinstance(column, _ByteTokens)
-            or column.take(slice(_PROBE_TOKENS)).decimals()[1].mean() > 0.5):
+    if column.take(slice(_PROBE_TOKENS)).decimals()[1].mean() > 0.5:
         return _parse_floats(column, name)
     values, slow = column.decimals()
     if slow.any():
@@ -537,13 +567,9 @@ def _parse_floats(tokens, name: str) -> np.ndarray:
         raise
 
 
-def _first_occurrence_codes(column) -> np.ndarray:
+def _first_occurrence_codes(column: _ByteTokens) -> np.ndarray:
     """Code each token by the rank of its first occurrence in the column."""
-    keys = column.keys() if isinstance(column, _ByteTokens) else None
-    if keys is None:
-        mapping: dict[str, int] = {}
-        return np.fromiter((mapping.setdefault(tok, len(mapping)) for tok in column),
-                           count=len(column), dtype=np.int64)
+    keys = column.keys()
     order = np.argsort(keys)
     sorted_keys = keys[order]
     new = np.empty(len(keys), dtype=bool)

@@ -185,10 +185,12 @@ class TestDiscover:
         assert strip_timing(out1) == strip_timing(out2)
 
 
-def discover_like_csv(path, n=600):
+def discover_like_csv(path, n=600, quote=False):
     """A seeded table shaped like the benchmark's discover input: ID-like
     and categorical text columns, numeric columns, and a few empty fields,
-    two near the top and one more every 30,000 rows."""
+    two near the top and one more every 30,000 rows. With ``quote``, the
+    header and every text field are quoted, as R's ``write.csv`` writes
+    them."""
     rng = np.random.default_rng(7)
     user = rng.integers(0, 120, n)
     region = rng.integers(0, 6, n)
@@ -202,7 +204,12 @@ def discover_like_csv(path, n=600):
     columns["score"][5] = columns["region"][9] = ""
     for row in range(30_000, n, 30_000):
         columns["amount"][row] = ""
-    lines = [",".join(columns)] + [",".join(row) for row in zip(*columns.values())]
+    header = list(columns)
+    if quote:
+        header = [f'"{name}"' for name in header]
+        for name in ("user_id", "region", "channel"):
+            columns[name] = [f'"{v}"' for v in columns[name]]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*columns.values())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -210,6 +217,7 @@ def discover_like_csv(path, n=600):
 @pytest.mark.parametrize("algo", ["greedy", "bnb"])
 def test_plain_path_reports_like_csv_reader(algo, ttt_csv, tmp_path, monkeypatch, capsys):
     like = discover_like_csv(tmp_path / "like.csv")
+    quoted = discover_like_csv(tmp_path / "quoted.csv", quote=True)
     # three chunks of the plain path, each dropping a row with an empty field
     big = discover_like_csv(tmp_path / "big.csv", n=72_000)
     assert big.stat().st_size > 2 * data_module._CHUNK_BYTES
@@ -217,14 +225,17 @@ def test_plain_path_reports_like_csv_reader(algo, ttt_csv, tmp_path, monkeypatch
     for plain in (True, False):
         if not plain:
             monkeypatch.setattr(data_module, "_parse_plain", lambda *args: None)
-        for path in (like, big, ttt_csv):
+        for path in (like, quoted, big, ttt_csv):
             out = tmp_path / f"{plain}-{path.stem}.json"
             assert main(["discover", "--input", str(path), "--algo", algo,
                          "--k", "5", "--json", str(out)]) == 0
-            runs.append((strip_timing(out), capsys.readouterr().err))
-    assert runs[:3] == runs[3:]
+            report = json.loads(strip_timing(out))
+            report["config"].pop("input")
+            runs.append((report, capsys.readouterr().err))
+    assert runs[:4] == runs[4:]
+    assert runs[1] == runs[0]  # the quoted copy reports as the plain file does
     assert runs[0][1] == "note: dropped 2 rows with empty fields\n"
-    assert runs[1][1] == "note: dropped 4 rows with empty fields\n"
+    assert runs[2][1] == "note: dropped 4 rows with empty fields\n"
 
 
 @pytest.mark.parametrize("argv, code", [

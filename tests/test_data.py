@@ -1,5 +1,8 @@
 import csv
+import io
 import re
+import sys
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -49,9 +52,9 @@ def parsed(parse, data, has_header):
         return f"ParseError: {exc}"
 
 
-# tokens for encode: over 8 bytes (coded through the dict), non-ASCII,
-# numerals float() takes, one wide enough to make its column decode byte by
-# byte, and non-finite numerals
+# tokens for encode: over 8 bytes (keys of more than one word), non-ASCII,
+# numerals float() takes, one much wider than the rest, and non-finite
+# numerals
 TEXT_TOKENS = ["a", "b", "\u00e9", "\u00fc\U0001d11e", "abcdefghi", "\u00e9" * 5,
                "long-token-x", "x" * 200]
 NUMERALS = [" 1", "1_0", "-0.0", "0.0", "0", "\u0661", "2.5", "1e3", "12345678",
@@ -119,6 +122,20 @@ def encoded(table, numeric_cols):
         return f"DataError: {exc}"
     return ds.n, [(a.name, a.kind, a.non_finite, a.domain_size, a.entropy,
                    a.codes.dtype, a.codes.tolist()) for a in ds.attributes]
+
+
+def first_occurrence_codes(tokens):
+    """The reference categorical coding: one dict lookup per token."""
+    mapping = {}
+    return [mapping.setdefault(tok, len(mapping)) for tok in tokens]
+
+
+def reader_columns(text):
+    """Each column's tokens by name, as csv.reader splits ``text``, with
+    blank lines and the rows that hold an empty field dropped."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    rows[1:] = [row for row in rows[1:] if "" not in row]
+    return dict(zip(rows[0], map(list, zip(*rows[1:])))) if len(rows) > 1 else {}
 
 
 class TestParseCsv:
@@ -409,8 +426,13 @@ class TestEncode:
         assert all(isinstance(column, _ByteTokens) for column in table.columns)
         named = [name for name in named if name in table.column_names]
         reference = _parse_reader(data, True)
+        tokens = reader_columns(text)
         for numeric_cols in ("auto", "none", named):
-            assert encoded(table, numeric_cols) == encoded(reference, numeric_cols)
+            result = encoded(table, numeric_cols)
+            assert result == encoded(reference, numeric_cols)
+            for name, kind, *_, codes in ([] if isinstance(result, str) else result[1]):
+                if kind == "categorical":
+                    assert codes == first_occurrence_codes(tokens[name])
 
     @given(
         text=plain_csv_texts(),
@@ -432,33 +454,113 @@ class TestEncode:
                 ds = encode(table, bins=bins, numeric_cols=numeric_cols)
             except DataError:
                 continue
-            for a, column in zip(ds.attributes, table.columns):
+            for a in ds.attributes:
                 counts = np.bincount(a.codes)
                 assert a.codes.dtype == np.int64 and counts.all()
-                tokens = list(column)
-                if a.kind == "binned":
+                tokens = reader_columns(text)[a.name]
+                if a.kind == "categorical":
+                    assert a.codes.tolist() == first_occurrence_codes(tokens)
+                else:
                     tokens = stable_discretize([float(tok) for tok in tokens], bins)
                 expected = Counter(tokens)
                 assert a.domain_size == len(expected)
                 assert sorted(counts) == sorted(expected.values())
 
-    def test_long_tokens_keep_dict_codes(self):
+    def test_long_tokens_get_distinct_codes(self):
         keys = parse_csv("c\nabcdefgh\n\u00e9\u00e9\u00e9\u00e9\nabcdefgh\n").columns[0].keys()
-        assert keys[0] == keys[2] != keys[1]  # 8 bytes still make a key
-        text = "c\n" + "".join(f"{'abcdefghi' if i == 5 else i % 3}\n" for i in range(20))
-        assert parse_csv(text).columns[0].keys() is None
-        assert encoded(parse_csv(text), "none") == encoded(_parse_reader(text, True), "none")
+        assert keys.shape == (3,)  # 8 bytes make one word
+        assert keys[0] == keys[2] != keys[1]
+        # a common 8-byte prefix, then 0, 1, 8 or 9 more bytes
+        tokens = ["abcdefg", "abcdefgh", "abcdefgh1", "abcdefgh" * 2, "abcdefgh" * 2 + "1"]
+        tokens += tokens[::-1]
+        expected = first_occurrence_codes(tokens)
+        text = "c\n" + "\n".join(tokens) + "\n"
+        for table in (parse_csv(text), _parse_reader(text, True),
+                      RawTable(("c",), (tokens,), len(tokens))):
+            assert table.columns[0].keys().shape == (10,)
+            assert encode(table, numeric_cols="none").attributes[0].codes.tolist() == expected
 
-    @pytest.mark.parametrize("tokens, padded", [
-        (["abcdefghi", "\u00e9" * 5, "long-token-x", "x"] * 5, True),
-        (["a", "x" * 200, "\u00fc", "bc"] * 5, False),  # rows would pad 50-fold
+    @pytest.mark.parametrize("tokens", [
+        ["abcdefghi", "\u00e9" * 5, "long-token-x", "x"] * 5,
+        ["a", "x" * 200, "\u00fc", "bc"] * 5,
     ])
-    def test_column_decodes_by_rows_or_byte_by_byte(self, tokens, padded):
+    def test_column_decodes_byte_by_byte(self, tokens):
         column = parse_csv("c\n" + "\n".join(tokens) + "\n").columns[0]
-        with mock.patch.object(data_module, "sliding_window_view",
-                               wraps=data_module.sliding_window_view) as rows:
-            assert list(column) == tokens
-        assert rows.called == padded
+        assert list(column) == tokens
+
+    def test_nul_ended_token_keeps_its_own_code(self):
+        # csv.reader takes NUL from Python 3.11 on, and keys that padded
+        # tokens with zeros would code "a" and "a\0" alike, in one word or two
+        short = ["a", "a\0", "a", "b\0", "b"]
+        long = ["abcdefgh", "abcdefgh\0", "abcdefgh\0", "abcdefgh", "abcdefgh\0\0"]
+        text = "s,l\n" + "".join(f"{s},{t}\n" for s, t in zip(short, long))
+        if sys.version_info < (3, 11):
+            with pytest.raises(ParseError, match="NUL"):
+                parse_csv(text)
+            return
+        table = parse_csv(text)
+        assert table.columns == (tuple(short), tuple(long))
+        ds = encode(table)
+        assert [a.codes.tolist() for a in ds.attributes] == [[0, 1, 0, 2, 3], [0, 1, 1, 0, 2]]
+
+    def test_lone_surrogates_from_str(self):
+        tokens = ["\ud800", "x", "\udfff\ud800", "\ud800", "x\udfff"]
+        table = RawTable(("c",), (tokens,), len(tokens))
+        assert list(table.columns[0]) == tokens and table.columns[0][2] == tokens[2]
+        assert encode(table).attributes[0].codes.tolist() == [0, 1, 2, 0, 3]
+        assert parse_csv("c\n" + "\n".join(tokens) + "\n") == table
+
+    @pytest.mark.parametrize("data", ["a,b\n", b"a,b\n", "a,b\n,x\n", "\ud800", '"a"\n'])
+    def test_header_only_file_has_empty_columns(self, data):
+        table = parse_csv(data)
+        assert table.row_count == 0
+        assert table.columns == ((),) * len(table.column_names)
+        for column in table.columns:
+            assert list(column) == [] and column.keys().shape == (0,)
+
+    @pytest.mark.parametrize("tokens", [
+        ["a", "b", "c" * 17],  # the widest token ends the file
+        ["a", "c" * 17, "b"],  # a short one ends the file after it
+    ])
+    def test_widest_key_stays_in_the_buffer(self, tokens):
+        expected = first_occurrence_codes(tokens)
+        text = "c\n" + "\n".join(tokens)  # no line feed after the last token
+        quoted = '"c"\n' + "\n".join(f'"{tok}"' for tok in tokens)
+        for table in (parse_csv(text), parse_csv(quoted), RawTable(("c",), (tokens,), 3)):
+            assert encode(table).attributes[0].codes.tolist() == expected
+
+    @given(st.lists(st.lists(st.sampled_from(["abcdefgh", "abcdefg", "a", "\u00e9", "\0"]),
+                             max_size=6).map("".join), min_size=2, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_codes_match_dict_coding_at_any_length(self, tokens):
+        # tokens of a few pieces share 8-byte runs and prefixes of every length
+        table = RawTable(("c",), (tokens,), len(tokens))
+        codes = encode(table, numeric_cols="none").attributes[0].codes
+        assert codes.tolist() == first_occurrence_codes(tokens)
+
+    def test_wide_tokens_cost_their_bytes(self):
+        # keys padded to the widest token would take 5,000 rows x 10,000
+        # bytes per array here, where the columns hold about 60 KB
+        short = ["ab", "cd"] * 2500
+        one_wide, shared_prefix = short.copy(), short.copy()
+        one_wide[-1] = "x" * 10_000
+        shared_prefix[10:13] = ("y" * 9_999 + end for end in "aba")
+        text = "c,d\n" + "".join(f"{c},{d}\n" for c, d in zip(one_wide, shared_prefix))
+        for table in (parse_csv(text), RawTable(("c", "d"), (one_wide, shared_prefix), 5000)):
+            tracemalloc.start()
+            try:
+                ds = encode(table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+            assert [a.codes.tolist() for a in ds.attributes] == [
+                first_occurrence_codes(one_wide), first_occurrence_codes(shared_prefix)]
+
+    @pytest.mark.parametrize("column", [("a", 1), (b"a", b"b"), ("a", None), None])
+    def test_token_that_is_not_str_is_data_error(self, column):
+        with pytest.raises(DataError, match="column 'c'"):
+            RawTable(("c",), (column,), 2)
 
     def test_text_column_decoded_up_to_its_first_token(self, monkeypatch):
         def refuse(self):
