@@ -61,10 +61,12 @@ class RawTable:
 @dataclass(frozen=True, eq=False)
 class Attribute:
     """One encoded column: dense codes in [0, domain_size) plus its
-    observed domain size and plug-in entropy in bits. A column that
-    ``encode`` binned has ``bins``, each code's lowest and highest value;
-    ``non_finite`` marks a column that "auto" left categorical because its
-    numbers include a non-finite one."""
+    observed domain size and plug-in entropy in bits. The codes are held in
+    the narrowest unsigned dtype that fits ``domain_size - 1``, often
+    ``uint8``: widen them before arithmetic that can leave that range. A
+    column that ``encode`` binned has ``bins``, each code's lowest and
+    highest value; ``non_finite`` marks a column that "auto" left
+    categorical because its numbers include a non-finite one."""
 
     name: str
     codes: np.ndarray
@@ -127,14 +129,17 @@ class EncodedDataset:
                 codes = codes.astype(np.int64)
             offsets = codes.astype(np.uint64)  # a copy, where any span is exact
             offsets -= codes.min(initial=0).astype(np.uint64)  # codes may be negative
-            codes = _dense(offsets, int(offsets.max(initial=0)) + 1)[1](np.int64)
+            counts, number = _dense(offsets, int(offsets.max(initial=0)) + 1)
+            codes = number(np.min_scalar_type(len(counts) - 1))
             attrs.append(_make_attribute(name, codes, n))
         return cls(attributes=tuple(attrs), n=n)
 
 
 def _make_attribute(name: str, codes: np.ndarray, n: int, **fields) -> Attribute:
-    """The attribute of dense ``int64`` codes: every code in [0, max] occurs."""
+    """The attribute of dense integer codes, every code in [0, max]
+    occurring, which it keeps in the narrowest unsigned dtype."""
     counts = np.bincount(codes)
+    codes = codes.astype(np.min_scalar_type(max(len(counts) - 1, 0)), copy=False)
     return Attribute(name=name, codes=codes, domain_size=len(counts),
                      entropy=entropy(counts, n), **fields)
 
@@ -157,10 +162,10 @@ _CHUNK_BYTES = 1 << 20  # the plain path checks and tokenizes this much at a tim
 
 class _ByteTokens(Sequence):
     """A column of tokens kept as byte spans ``buf[starts[i]:ends[i]]`` of
-    one UTF-8 buffer, followed by 16 zero bytes for ``_words``. All columns
-    from ``_parse_plain`` share one, each with its ``starts`` and ``ends`` in
-    one contiguous run. It reads and compares as the tuple of its tokens.
-    ``encode`` codes it from its bytes."""
+    one UTF-8 buffer. All columns from ``_parse_plain`` share one, the input
+    itself, each with its ``starts`` and ``ends`` in one contiguous run. It
+    reads and compares as the tuple of its tokens. ``encode`` codes it from
+    its bytes."""
 
     def __init__(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         self.buf, self.starts, self.ends = buf, starts, ends
@@ -181,7 +186,7 @@ class _ByteTokens(Sequence):
         if len(raw) > lengths.sum():  # a character of more than one byte
             leads = np.flatnonzero(np.append((raw & 0xC0) != 0x80, True))
             starts, ends = leads[starts].astype(offset), leads[ends].astype(offset)
-        return cls(np.concatenate((raw, np.zeros(16, dtype=np.uint8))), starts, ends)
+        return cls(raw, starts, ends)
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -195,11 +200,14 @@ class _ByteTokens(Sequence):
         """Decode the whole column at once: gather every token and a
         separator slot after it byte by byte, in a fixed multiple of the
         tokens' bytes, write commas there, split the text. Unless that gives
-        one token per span, as when a token holds a comma, decode each."""
+        one token per span, as when a token holds a comma, decode each. A
+        slot past the buffer's end is clipped into it before it is written."""
+        if not len(self.buf):  # nothing to clip into: every token is ""
+            return iter([""] * len(self))
         lens = self.ends - self.starts
         stops = np.cumsum(lens + 1)  # just past each token's separator slot
-        text = self.buf[np.repeat(self.starts - (stops - lens - 1), lens + 1)
-                        + np.arange(len(self) + lens.sum())]
+        text = self.buf.take(np.repeat(self.starts - (stops - lens - 1), lens + 1)
+                             + np.arange(len(self) + lens.sum()), mode="clip")
         text[stops - 1] = ord(",")
         tokens = text[:-1].tobytes().decode("utf-8", "surrogatepass").split(",")
         if len(tokens) == len(self):
@@ -224,10 +232,17 @@ class _ByteTokens(Sequence):
     def _words(self, count: int) -> np.ndarray:
         """The ``8 * count`` bytes from each token's start, bytes past the
         token included, gathered at once as a row of ``count`` unaligned
-        little-endian ``uint64`` words per token."""
+        little-endian ``uint64`` words per token. A window that would run
+        past the buffer's end reads a zero-padded copy of its last bytes."""
         size = 8 * count
-        windows = np.ndarray(len(self.buf) - size + 1, f"V{size}", self.buf, strides=(1,))
-        return windows[self.starts].view("<u8").reshape(len(self), count)
+        cut = max(len(self.buf) - size, 0)  # a window from past here runs off the end
+        tail = np.zeros(len(self.buf) - cut + size, np.uint8)
+        tail[:len(self.buf) - cut] = self.buf[cut:]
+        # indexed, not take(), which would copy every window first
+        words = _windows(self.buf if cut else tail, size)[np.minimum(self.starts, cut)]
+        late = np.flatnonzero(self.starts > cut)
+        words[late] = _windows(tail, size)[self.starts[late] - cut]
+        return words.view("<u8").reshape(len(self), count)
 
     def keys(self) -> np.ndarray:
         """An integer per token, equal exactly where the tokens are. A
@@ -265,8 +280,18 @@ class _ByteTokens(Sequence):
         rounded division of two exact doubles, so it is the correctly
         rounded decimal that ``float()`` returns (Clinger's fast path). The
         first 16 bytes are gathered at once and read as two words of 8
-        digits (Lemire's SWAR parse). A masked token's value is arbitrary.
+        digits (Lemire's SWAR parse), ``_DECIMAL_TOKENS`` tokens at a time
+        to bound the temporaries. A masked token's value is arbitrary.
         """
+        values = np.empty(len(self))
+        slow = np.empty(len(self), dtype=bool)
+        for at in range(0, len(self), _DECIMAL_TOKENS):
+            chunk = slice(at, at + _DECIMAL_TOKENS)
+            values[chunk], slow[chunk] = self.take(chunk)._decimals()
+        return values, slow
+
+    def _decimals(self) -> tuple[np.ndarray, np.ndarray]:
+        """``decimals()`` of all the tokens at once."""
         lens = self.ends - self.starts
         short = np.minimum(lens, 16)
         head = np.minimum(short, 8)
@@ -311,6 +336,7 @@ class _ByteTokens(Sequence):
         return values, ~read
 
 
+_DECIMAL_TOKENS = 1 << 14  # at about 110 bytes of temporaries per token, 2 MB
 _U64 = np.uint64
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _PAST_BYTES = ~_LOW_BYTES  # 0xFF in every byte of a word after its first k
@@ -323,6 +349,11 @@ _HIGH_BITS = _U64(0x8080808080808080)
 _ONES = _U64(0x0101010101010101)
 _DOTS = _DOT * _ONES
 _BYTE_PLACES = _U64(0x0102030405060708)  # byte j holds 8 - j
+
+
+def _windows(buf: np.ndarray, size: int) -> np.ndarray:
+    """Every run of ``size`` bytes of ``buf``, one ``V{size}`` item per start."""
+    return np.ndarray(len(buf) - size + 1, f"V{size}", buf, strides=(1,))
 
 
 def _first_dot(word: np.ndarray) -> np.ndarray:
@@ -360,21 +391,22 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
     with one ``np.flatnonzero``. Each chunk's spans are written column by
     column into (column, row) offset arrays, sized once from the count of
     line feeds, so each column's spans are one contiguous run. Each column
-    is a ``_ByteTokens`` over one padded copy of the input.
+    is a ``_ByteTokens`` over the input's own bytes, which are not copied.
     """
     if isinstance(data, str):
         try:
             data = data.encode()
         except UnicodeEncodeError:  # a lone surrogate
             return None
-    crlf = b"\r" in data
-    if (b'"' in data or b"\0" in data  # csv before 3.11 refuses NUL
-            or crlf and data.count(b"\r") != data.count(b"\r\n")):
+    if b'"' in data or b"\0" in data:  # csv before 3.11 refuses NUL
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
     stop = len(data)
     while stop and data[stop - 1] in b"\r\n":  # csv skips trailing blank lines
         stop -= 1
+    crlf = b"\r" in data
+    if crlf and data.count(b"\r", stop) != data.count(b"\r\n", stop):
+        return None  # a bare CR after the last line; those in lines are found below
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     if start >= stop:
         return None
@@ -399,9 +431,13 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
             seps = np.append(seps, stop)
             newline = np.append(newline, True)
         starts = np.concatenate(([start], seps[:-1] + 1))
-        # every CR is in a CRLF, so data[-1] is not one, and a field never
-        # ends in one: a CR before a separator ends a line
-        ends = seps - (raw[seps - 1] == ord("\r")) if crlf else seps
+        ends = seps
+        if crlf:  # a chunk ends after a LF, so it holds each of its CRLFs whole
+            # (raw[-1], read for a first separator at 0, is no CR: checked above)
+            cr_before = raw[seps - 1] == ord("\r")
+            if piece.count(b"\r") != np.count_nonzero(cr_before & newline):
+                return None  # a bare CR, or one in a field
+            ends = seps - cr_before
         lens = ends - starts
         width = max(width, int(lens.max()))
         if width > limit:
@@ -440,11 +476,10 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
         start = end
     if not has_header:
         names = tuple(f"X{j + 1}" for j in range(d))
-    buf = np.concatenate((raw, np.zeros(16, dtype=np.uint8)))
     first = int(has_header)
     return RawTable(
         column_names=names,
-        columns=tuple(_ByteTokens(buf, spans[0, j, first:rows], spans[1, j, first:rows])
+        columns=tuple(_ByteTokens(raw, spans[0, j, first:rows], spans[1, j, first:rows])
                       for j in range(d)),
         row_count=rows - first, rejected_rows=rejected,
     )
@@ -503,8 +538,9 @@ def discretize_equal_frequency(values, bins: int):
     tied value take the group of the first sorted position of that value
     (the lower bin), so the returned code is a function of the value and
     does not depend on how the sort orders ties; codes are then compacted
-    to remove bins emptied by that rule. Returns the codes and a (codes, 2)
-    array of each code's lowest and highest value.
+    to remove bins emptied by that rule. Returns the codes, in the
+    narrowest unsigned dtype that holds them, and a (codes, 2) array of
+    each code's lowest and highest value.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
@@ -527,7 +563,7 @@ def discretize_equal_frequency(values, bins: int):
     group = np.searchsorted(ends, firsts, side="right")  # that of each value's first rank
     opens = np.concatenate(([True], group[1:] != group[:-1]))
     starts[firsts[~opens]] = False  # now true where a nonempty group starts
-    codes = np.empty(n, dtype=np.int64)
+    codes = np.empty(n, dtype=np.min_scalar_type(np.count_nonzero(opens) - 1))
     codes[order] = np.cumsum(starts) - 1
     # a group's highest value sits at its last rank before ties moved any
     highs = sorted_vals[ends[group[opens]] - 1]
@@ -577,9 +613,9 @@ def _first_occurrence_codes(column: _ByteTokens) -> np.ndarray:
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
     firsts = np.flatnonzero(new)
     first_row = np.minimum.reduceat(order, firsts)  # whatever order ties sorted in
-    rank = np.empty(len(firsts), dtype=np.int64)
+    rank = np.empty(len(firsts), dtype=np.min_scalar_type(len(firsts) - 1))
     rank[np.argsort(first_row)] = np.arange(len(firsts))
-    codes = np.empty(len(keys), dtype=np.int64)
+    codes = np.empty(len(keys), dtype=rank.dtype)
     codes[order] = np.repeat(rank, np.diff(firsts, append=len(keys)))
     return codes
 

@@ -167,24 +167,29 @@ def _number(keys: np.ndarray, occupied: np.ndarray | None, dtype) -> np.ndarray:
         return np.unique(keys, return_inverse=True)[1].astype(dtype, copy=False)
     remap = np.cumsum(occupied)
     remap -= 1
-    return remap.astype(dtype, copy=False)[keys]
+    # take: indexing by narrow keys, ``remap[keys]``, is about 3x slower
+    return remap.astype(dtype, copy=False).take(keys)
 
 
 def refine_partition(parent: RowPartition, attr) -> RowPartition:
     """Split every cell of ``parent`` by the codes of one more attribute.
 
-    ``attr`` needs ``codes`` (dense integer array of length n) and
-    ``domain_size``. ``parent.cell_of_row`` may have any integer dtype: keys
-    are computed in int64. Output cells are dense and ordered by (parent
-    cell, code), which keeps repeated refinement deterministic. Only the
-    counts are computed here: rows are numbered on the first read of the
-    result's ``cell_of_row``, so a subset that is scored but never refined
-    is never numbered.
+    ``attr`` needs ``codes`` (integer array of length n, each code in
+    [0, domain_size)) and ``domain_size``. ``parent.cell_of_row`` and the
+    codes may have any integer dtype: the keys ``cell * domain_size + code``
+    are computed in the narrowest unsigned dtype that holds the key space
+    ``cell_count * domain_size``, which every cell and code lies in. Output
+    cells are dense and ordered by (parent cell, code), which keeps repeated
+    refinement deterministic. Only the counts are computed here: rows are
+    numbered on the first read of the result's ``cell_of_row``, so a subset
+    that is scored but never refined is never numbered.
     """
     domain = int(attr.domain_size)
-    keys = np.multiply(parent.cell_of_row, domain, dtype=np.int64)
-    keys += attr.codes
-    counts, number = _dense(keys, parent.cell_count * domain)
+    space = parent.cell_count * domain
+    keys = np.multiply(parent.cell_of_row, domain, dtype=np.min_scalar_type(space),
+                       casting="unsafe")
+    np.add(keys, attr.codes, out=keys, casting="unsafe")
+    counts, number = _dense(keys, space)
     cell_count = int(counts.shape[0])
     return RowPartition(partial(number, np.min_scalar_type(cell_count - 1)),
                         counts, cell_count)

@@ -245,6 +245,33 @@ class TestParseCsv:
         with pytest.raises(AssertionError, match="csv.reader called"):
             parse_csv('a,b\r\n"x",1\r\n')
 
+    @given(
+        lines=st.lists(st.lists(st.text("xy\r", max_size=3), min_size=2, max_size=2)
+                       .map(",".join), min_size=1, max_size=6),
+        eol=st.sampled_from(["\n", "\r\n"]),
+        end=st.sampled_from(["", "\n", "\r", "\r\n", "\n\r", "\r\r\n"]),
+        chunk=st.integers(1, 8),
+    )
+    @example(lines=["x,y", "x\r,y"], eol="\r\n", end="", chunk=1)  # a CR in a field
+    @example(lines=["x,y", "y,x"], eol="\r\n", end="\r", chunk=1)  # a bare CR at the end
+    @settings(max_examples=300, deadline=None)
+    def test_plain_path_takes_crs_only_in_crlf(self, lines, eol, end, chunk):
+        # each chunk checks its own CRs, and the bytes after the last line
+        # are checked apart: together, every CR of the file is in a CRLF
+        data = (eol.join(lines) + end).encode()
+        with mock.patch.object(data_module, "_CHUNK_BYTES", chunk):
+            plain = data_module._parse_plain(data, False)
+        assert (plain is None) == (data.count(b"\r") != data.count(b"\r\n"))
+        if plain is not None:
+            assert plain == _parse_reader(data, False)
+
+    def test_plain_parse_keeps_the_input_bytes(self):
+        data = b"a,b\nx,1\ny,2"
+        table = parse_csv(data)
+        for column in table.columns:
+            assert np.shares_memory(column.buf, np.frombuffer(data, np.uint8))
+            assert len(column.buf) == len(data)  # nothing appended
+
     def test_byte_columns_read_as_tuples(self, ttt_csv):
         data = ttt_csv.read_bytes()
         table = parse_csv(data)
@@ -456,7 +483,8 @@ class TestEncode:
                 continue
             for a in ds.attributes:
                 counts = np.bincount(a.codes)
-                assert a.codes.dtype == np.int64 and counts.all()
+                assert a.codes.dtype == np.min_scalar_type(a.domain_size - 1)
+                assert counts.all()
                 tokens = reader_columns(text)[a.name]
                 if a.kind == "categorical":
                     assert a.codes.tolist() == first_occurrence_codes(tokens)
@@ -528,6 +556,45 @@ class TestEncode:
         quoted = '"c"\n' + "\n".join(f'"{tok}"' for tok in tokens)
         for table in (parse_csv(text), parse_csv(quoted), RawTable(("c",), (tokens,), 3)):
             assert encode(table).attributes[0].codes.tolist() == expected
+
+    @pytest.mark.parametrize("alphabet", ["1234567890", "abcdefghij"])
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_windows_past_an_unpadded_end(self, width, alphabet):
+        # keys() reads 8 bytes from each token's start and decimals() 16;
+        # near the end of a buffer with nothing after it, both read a padded
+        # copy, and a token there codes and reads as it does further in
+        tok = (alphabet * 2)[:width]
+        tokens = [tok, tok[:-1] + chr(ord(tok[-1]) ^ 1), tok]
+        data = ("c\n" + "\n".join(tokens)).encode()  # no line feed at the end
+        columns = {
+            "file": (parse_csv(data).columns[0], tokens, len(data)),
+            "one row": (parse_csv(tok.encode(), has_header=False).columns[0], [tok], width),
+            "of": (_ByteTokens.of(tokens, "c"), tokens, 3 * width),
+        }
+        for column, expected, size in columns.values():
+            assert len(column.buf) == size
+            assert list(column) == expected
+            codes = data_module._first_occurrence_codes(column)
+            assert codes.tolist() == first_occurrence_codes(expected)
+            values, slow = column.decimals()
+            assert slow.tolist() == [not byte_decimal(t) for t in expected]
+            assert values[~slow].tolist() == [float(t) for t in expected if byte_decimal(t)]
+
+    def test_decimals_in_chunks(self):
+        # decimals() reads a fixed count of tokens at a time; tokens only
+        # float() reads sit on both sides of every chunk boundary and end
+        # the column, which has one token past its third chunk
+        size = data_module._DECIMAL_TOKENS
+        tokens = [f"{i % 997}.{i % 13}" for i in range(3 * size + 1)]
+        for edge in (size, 2 * size, 3 * size):
+            tokens[edge - 1], tokens[edge] = "1.5e3", f"{edge}.00000000000001"  # 17+ bytes
+        column = parse_csv("c\n" + "\n".join(tokens)).columns[0]
+        values, slow = column.decimals()
+        edges = [edge + k for edge in (size, 2 * size, 3 * size) for k in (-1, 0)]
+        assert np.flatnonzero(slow).tolist() == edges
+        values[slow] = [float(tokens[i]) for i in edges]
+        reference = np.array([float(t) for t in tokens])
+        assert values.view(np.int64).tolist() == reference.view(np.int64).tolist()
 
     @given(st.lists(st.lists(st.sampled_from(["abcdefgh", "abcdefg", "a", "\u00e9", "\0"]),
                              max_size=6).map("".join), min_size=2, max_size=40))
@@ -683,7 +750,7 @@ class TestEncode:
         codes = np.array(codes, dtype=np.int64)
         values, ranks = np.unique(codes, return_inverse=True)
         attr = EncodedDataset.from_codes(["v"], [codes], len(codes)).attributes[0]
-        assert attr.codes.dtype == np.int64
+        assert attr.codes.dtype == np.min_scalar_type(attr.domain_size - 1)
         assert attr.codes.tolist() == ranks.tolist()
         assert attr.domain_size == len(values)
 

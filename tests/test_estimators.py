@@ -215,6 +215,36 @@ class TestRefineKernel:
             refine_partition(parent, attr), unique_refine(parent, attr)
         )
 
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("cell_count, domain", [
+        (15, 17), (16, 16), (257, 1), (1, 257),  # key spaces 255, 256 and 257
+        (255, 257), (256, 256), (65_537, 1), (1, 65_537),  # 65,535 to 65,537
+        (65_537, 65_537),  # above 2**32
+    ])
+    def test_key_spaces_at_dtype_edges(self, cell_count, domain, wide, monkeypatch):
+        # keys take the narrowest dtype of the key space cell_count * domain,
+        # whatever the dtype of the cells and codes; 40,000 rows more than
+        # cells make every key space up to 65,537 a counted one
+        rng = np.random.default_rng(cell_count + domain)
+        cells = rng.permutation(np.concatenate([
+            np.arange(cell_count), rng.integers(0, cell_count, 40_000)]))
+        codes = rng.integers(0, domain, cells.shape[0])
+        codes[cells == 0], codes[cells == cell_count - 1] = 0, domain - 1  # both ends
+        if not wide:
+            cells = cells.astype(np.min_scalar_type(cell_count - 1))
+            codes = codes.astype(np.min_scalar_type(domain - 1))
+        parent = RowPartition(cells, np.bincount(cells), cell_count)
+        attr = SimpleNamespace(codes=codes, domain_size=domain)
+        seen = []
+        dense = estimators._dense
+        monkeypatch.setattr(estimators, "_dense",
+                            lambda keys, space: seen.append(keys.dtype) or dense(keys, space))
+        got = refine_partition(parent, attr)
+        assert seen == [np.min_scalar_type(cell_count * domain)]
+        keys = cells.astype(np.int64) * domain + codes.astype(np.int64)
+        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        assert_same_partition(got, RowPartition(inverse, counts, len(counts)))
+
     def test_constant_attribute_keeps_parent_cells(self):
         parent = refine_partition(
             RowPartition.trivial(3),

@@ -652,8 +652,9 @@ class TestPartitionStore:
     ])
     def test_narrow_dtype_refines_like_int64(self, cell_count, dtype):
         # refine_partition packs cell indices into the narrowest dtype that
-        # holds them, and the next refinement widens its keys to int64, so
-        # it refines exactly as the int64 partition with the same cells
+        # holds them, and the next refinement computes its keys in the
+        # narrowest dtype of its key space whatever the cells' dtype, so it
+        # refines exactly as the int64 partition with the same cells
         rng = np.random.default_rng(cell_count)
         # every cell occupied, the last one included, in shuffled row order
         cells = rng.permutation(np.concatenate([
