@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _dense, entropy
+from .estimators import _number, entropy
 
 __all__ = [
     "DataError",
@@ -129,8 +129,7 @@ class EncodedDataset:
                 codes = codes.astype(np.int64)
             offsets = codes.astype(np.uint64)  # a copy, where any span is exact
             offsets -= codes.min(initial=0).astype(np.uint64)  # codes may be negative
-            counts, number = _dense(offsets, int(offsets.max(initial=0)) + 1)
-            codes = number(np.min_scalar_type(len(counts) - 1))
+            codes = _number(offsets, int(offsets.max(initial=0)) + 1)
             attrs.append(_make_attribute(name, codes, n))
         return cls(attributes=tuple(attrs), n=n)
 

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -55,9 +56,12 @@ _LOG2 = math.log(2.0)
 
 
 # x * log2(x) at x = 0, 1, 2, ..., grown to about twice the largest count
-# seen. Each entry is computed once and kept, so its bits cannot depend on
-# where in an array numpy's log2 happened to compute it.
+# seen. Each entry is kept once computed, so its bits cannot depend on
+# where in an array numpy's log2 happened to compute it. Only threads that
+# grow the table at the same time compute entries twice, each from the
+# same first entry; the lock keeps the longest of their tables.
 _XLOG2X = np.zeros(2)
+_XLOG2X_LOCK = threading.Lock()
 
 
 def xlog2x_table(top: int) -> np.ndarray:
@@ -66,15 +70,21 @@ def xlog2x_table(top: int) -> np.ndarray:
     Entropies sum its entries over counts sorted ascending, one at a time
     from the left (``np.cumsum``). Counts of 0 and 1 add exactly 0, so the
     sum depends on the multiset of counts above 1 alone: not on cell order,
-    zero cells or singleton cells.
+    zero cells or singleton cells. Threads may call it at once: each gets
+    a table that covers its ``top``, and a shorter table never replaces a
+    longer one.
     """
     global _XLOG2X
-    if top >= _XLOG2X.shape[0]:
-        x = np.arange(_XLOG2X.shape[0], max(int(top) + 1, 2 * _XLOG2X.shape[0]),
+    table = _XLOG2X  # read once: another thread may replace it meanwhile
+    if top >= table.shape[0]:
+        x = np.arange(table.shape[0], max(int(top) + 1, 2 * table.shape[0]),
                       dtype=np.float64)
         x *= np.log2(x)
-        _XLOG2X = np.concatenate([_XLOG2X, x])
-    return _XLOG2X
+        table = np.concatenate([table, x])
+        with _XLOG2X_LOCK:
+            if table.shape[0] > _XLOG2X.shape[0]:
+                _XLOG2X = table
+    return table
 
 
 def entropy(counts, n):
@@ -112,33 +122,26 @@ def _log2_rows(n: bytes) -> np.ndarray:
 class RowPartition:
     """Grouping of the n rows into the distinct joint-value cells of a subset.
 
-    ``cell_of_row[r]`` is the dense cell index of row r, ``cell_counts[c]``
-    the size of cell c. Refining by one attribute at a time makes this the
-    incremental carrier for joint entropies. ``cell_counts`` is None on a
-    partition that ``branch_and_bound`` keeps in its queue: it is only
-    refined further, never scored. ``cell_of_row`` is held in
-    the narrowest unsigned dtype that fits ``cell_count - 1``. It may be
-    given as a function that numbers the rows, called on the first read
-    and then replaced by its array; two racing first reads compute the
-    same array, so numbering once or twice is the same.
+    ``cell_of_row[r]`` is row r's label, below the bound ``labels``: two rows
+    share a label exactly when they share a cell. Labels need not be dense,
+    so ``cell_count``, the number of nonempty cells, can be below
+    ``labels``. ``cell_counts`` holds each cell's size in ascending label
+    order. Refining by one attribute at a time makes this the incremental
+    carrier for joint entropies. ``cell_counts`` is None on a partition
+    that ``branch_and_bound`` keeps in its queue: it is only refined
+    further, never scored. ``cell_of_row`` is held in the narrowest
+    unsigned dtype that fits ``labels - 1``.
     """
 
-    _cell_of_row: np.ndarray | partial
+    cell_of_row: np.ndarray
     cell_counts: np.ndarray | None
     cell_count: int
-
-    @property
-    def cell_of_row(self) -> np.ndarray:
-        cells = self._cell_of_row
-        if callable(cells):  # then drop the function and the keys it holds
-            cells = cells()
-            object.__setattr__(self, "_cell_of_row", cells)
-        return cells
+    labels: int
 
     @classmethod
     def trivial(cls, n: int) -> "RowPartition":
         """The single-cell partition (empty attribute set)."""
-        return cls(np.zeros(n, dtype=np.uint8), np.array([n], dtype=np.int64), 1)
+        return cls(np.zeros(n, dtype=np.uint8), np.array([n], dtype=np.int64), 1, 1)
 
 
 # Key spaces up to this many keys per row are counted, larger ones sorted.
@@ -148,51 +151,55 @@ class RowPartition:
 _COUNTING_SPACE_PER_ROW = 2
 
 
-def _dense(keys: np.ndarray, space: int) -> tuple[np.ndarray, partial]:
-    """Count non-negative integer keys below ``space``: returns each
-    distinct key's count, in ascending key order as ``np.unique`` would,
-    and the numbering step, a function of a dtype that gives each key's
-    rank among the distinct keys."""
+def _count(keys: np.ndarray, space: int) -> np.ndarray:
+    """The count of each distinct key among non-negative integer keys below
+    ``space``, in ascending key order as ``np.unique`` gives them."""
     if space > _COUNTING_SPACE_PER_ROW * keys.shape[0]:
-        return np.unique(keys, return_counts=True)[1], partial(_number, keys, None)
+        return np.unique(keys, return_counts=True)[1]
     counts = np.bincount(keys.astype(np.intp, copy=False), minlength=space)
-    occupied = counts > 0
-    return counts[occupied], partial(_number, keys, occupied)
+    return counts[counts > 0]
 
 
-def _number(keys: np.ndarray, occupied: np.ndarray | None, dtype) -> np.ndarray:
-    """Each key's rank, in ``dtype``: from the running count of the
-    ``occupied`` key space, or by sorting again where it was too large."""
-    if occupied is None:
-        return np.unique(keys, return_inverse=True)[1].astype(dtype, copy=False)
-    remap = np.cumsum(occupied)
+def _number(keys: np.ndarray, space: int) -> np.ndarray:
+    """Each key's rank among the distinct keys below ``space``, in the
+    narrowest dtype that holds the largest rank: from the running count of
+    the occupied key space, or by sorting where it is too large to count."""
+    if space > _COUNTING_SPACE_PER_ROW * keys.shape[0]:
+        distinct, ranks = np.unique(keys, return_inverse=True)
+        return ranks.astype(np.min_scalar_type(len(distinct) - 1), copy=False)
+    remap = np.cumsum(np.bincount(keys.astype(np.intp, copy=False), minlength=space) > 0)
     remap -= 1
     # take: indexing by narrow keys, ``remap[keys]``, is about 3x slower
-    return remap.astype(dtype, copy=False).take(keys)
+    return remap.astype(np.min_scalar_type(int(remap[-1])), copy=False).take(keys)
 
 
 def refine_partition(parent: RowPartition, attr) -> RowPartition:
     """Split every cell of ``parent`` by the codes of one more attribute.
 
     ``attr`` needs ``codes`` (integer array of length n, each code in
-    [0, domain_size)) and ``domain_size``. ``parent.cell_of_row`` and the
-    codes may have any integer dtype: the keys ``cell * domain_size + code``
-    are computed in the narrowest unsigned dtype that holds the key space
-    ``cell_count * domain_size``, which every cell and code lies in. Output
-    cells are dense and ordered by (parent cell, code), which keeps repeated
-    refinement deterministic. Only the counts are computed here: rows are
-    numbered on the first read of the result's ``cell_of_row``, so a subset
-    that is scored but never refined is never numbered.
+    [0, domain_size)) and ``domain_size``. The keys
+    ``label * domain_size + code`` label the result's rows: they lie below
+    ``parent.labels * domain_size``, the result's ``labels``, and are
+    computed in the narrowest unsigned dtype that holds every key below it,
+    so ``parent.cell_of_row`` and the codes may have any integer dtype.
+    Cells are counted in ascending key order, that is by (parent cell,
+    code), which keeps repeated refinement deterministic. The parent's rows
+    are renumbered densely first only to shrink the key space: where that
+    alone makes it small enough to count, or where it would not fit in 64
+    bits.
     """
     domain = int(attr.domain_size)
-    space = parent.cell_count * domain
-    keys = np.multiply(parent.cell_of_row, domain, dtype=np.min_scalar_type(space),
-                       casting="unsafe")
+    labels, bound = parent.cell_of_row, parent.labels
+    countable = _COUNTING_SPACE_PER_ROW * labels.shape[0]
+    if bound * domain > countable >= parent.cell_count * domain or bound * domain > 2**64:
+        labels, bound = _number(labels, bound), parent.cell_count
+    space = bound * domain
+    # under one label every label is 0, and domain may not fit the keys' dtype
+    keys = np.multiply(labels, domain if bound > 1 else 0,
+                       dtype=np.min_scalar_type(max(space - 1, 0)), casting="unsafe")
     np.add(keys, attr.codes, out=keys, casting="unsafe")
-    counts, number = _dense(keys, space)
-    cell_count = int(counts.shape[0])
-    return RowPartition(partial(number, np.min_scalar_type(cell_count - 1)),
-                        counts, cell_count)
+    counts = _count(keys, space)
+    return RowPartition(keys, counts, int(counts.shape[0]), space)
 
 
 @lru_cache(maxsize=4096)

@@ -202,9 +202,9 @@ def branch_and_bound(
     returns the best found so far with ``stats.completed`` False when
     exceeded; it is checked after every scored child.
 
-    Each queued child keeps its partition's rows (not its cell counts),
-    so a popped node is refined only into its children; past
-    ``PARTITION_STORE_BYTES`` of rows a child is queued without them and
+    Each queued child keeps its partition's row labels (not its cell
+    counts), so a popped node is refined only into its children; past
+    ``PARTITION_STORE_BYTES`` of labels a child is queued without them and
     rebuilt from the root when popped.
     """
     store = TopKStore(k)
@@ -219,7 +219,7 @@ def branch_and_bound(
     # heap entries (-potential, members, node, partition or None);
     # member tuples are unique so neither node nor partition is compared
     heap = [(-1.0, (), _ROOT, None)]
-    stored = 0  # bytes of the partitions' rows in the heap
+    stored = 0  # bytes of the partitions' row labels in the heap
 
     def out_of_time() -> bool:
         if budget is not None and time.perf_counter() - started > budget:
@@ -248,12 +248,13 @@ def branch_and_bound(
                 potential = bound_ref(child, ctx)
                 if not store.admits(alpha * potential, child.members):
                     stats.nodes_pruned += 1
-                else:  # numbered rows, so the heap holds no int64 keys
+                else:
                     cells = child_part.cell_of_row
                     queued = None  # rebuilt from the root when popped
                     if stored + cells.nbytes <= PARTITION_STORE_BYTES:
                         stored += cells.nbytes
-                        queued = RowPartition(cells, None, child_part.cell_count)
+                        queued = RowPartition(cells, None, child_part.cell_count,
+                                              child_part.labels)
                     heapq.heappush(heap, (-potential, child.members, child, queued))
             if out_of_time():
                 break

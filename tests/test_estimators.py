@@ -93,6 +93,43 @@ class TestEntropy:
         # the scorer passes a transposed view, which is not in C order
         assert np.array_equal(entropy(np.asfortranarray(batch), n), got)
 
+    @pytest.mark.parametrize("outer, inner", [(10, 1000), (1000, 10)])
+    def test_table_growth_between_reads_keeps_the_longer_table(self, outer, inner,
+                                                               monkeypatch):
+        # one call grows the table while another is growing it: here the
+        # inner call runs inside the outer one's np.concatenate, where a
+        # thread switch could run it. Each must get a table that covers its
+        # top, and the shared table must not shrink to the outer one's
+        monkeypatch.setattr(estimators, "_XLOG2X", np.zeros(2))
+        concatenate, inner_tables = np.concatenate, []
+
+        def interleaved(arrays):
+            if not inner_tables:  # marked first: the inner call concatenates too
+                inner_tables.append(None)
+                inner_tables[0] = xlog2x_table(inner)
+            return concatenate(arrays)
+
+        monkeypatch.setattr(np, "concatenate", interleaved)
+        table = xlog2x_table(outer)
+        assert table.shape[0] > outer and inner_tables[0].shape[0] > inner
+        assert estimators._XLOG2X.shape[0] > max(outer, inner)
+
+    def test_table_growth_from_racing_threads(self, monkeypatch):
+        # more threads than cores grow the table from scratch at once
+        monkeypatch.setattr(estimators, "_XLOG2X", np.zeros(2))
+        tops = np.random.default_rng(7).integers(2, 5000, size=(30, 6)).tolist()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                for row in tops:
+                    estimators._XLOG2X = np.zeros(2)
+                    tables = list(pool.map(xlog2x_table, row, timeout=10))
+                    assert all(t.shape[0] > top for t, top in zip(tables, row))
+                    assert estimators._XLOG2X.shape[0] > max(row)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_tictactoe_board_triples_tie_in_lexicographic_order(self, ttt):
         # four board-cell triples related by the board's symmetries score the
         # same mathematically; they must tie to the bit and rank by the
@@ -147,23 +184,43 @@ class TestRefinePartition:
 
 
 def unique_refine(parent, attr):
-    """Reference refinement: sort the (parent cell, code) keys with np.unique."""
+    """Reference refinement: sort the (parent cell, code) keys with np.unique.
+    Its cells are dense, so its label bound is its cell count."""
     if attr.domain_size <= 1:
         return parent
     keys = parent.cell_of_row.astype(np.int64) * attr.domain_size + attr.codes
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return RowPartition(inverse, counts, len(counts))
+    return RowPartition(inverse, counts, len(counts), len(counts))
 
 
 def assert_same_partition(got, want):
-    # cell indices in the narrowest unsigned dtype that holds them
-    narrow = (np.uint8 if want.cell_count <= 256 else
-              np.uint16 if want.cell_count <= 65_536 else np.uint32)
-    assert got.cell_of_row.dtype == narrow
+    # labels below the bound, in the narrowest unsigned dtype that holds it
+    assert got.cell_of_row.dtype == np.min_scalar_type(got.labels - 1)
+    assert int(got.cell_of_row.max(initial=0)) < got.labels
+    # ranking the labels gives the dense reference cells, so two rows share
+    # a label exactly when they share a cell, and label order is cell order
+    assert np.array_equal(np.unique(got.cell_of_row, return_inverse=True)[1],
+                          want.cell_of_row)
     assert got.cell_counts.dtype == np.int64
-    assert np.array_equal(got.cell_of_row, want.cell_of_row)
     assert np.array_equal(got.cell_counts, want.cell_counts)
     assert got.cell_count == want.cell_count
+
+
+def compacts(parent, attr) -> bool:
+    """Whether refining ``parent`` by ``attr`` renumbers the parent first:
+    only dense labels make its key space countable, or its key space does
+    not fit in 64 bits."""
+    space = parent.labels * attr.domain_size
+    countable = estimators._COUNTING_SPACE_PER_ROW * parent.cell_of_row.shape[0]
+    return space > countable >= parent.cell_count * attr.domain_size or space > 2**64
+
+
+def counting_numbering(monkeypatch) -> list:
+    """A list that gets one entry per call of ``estimators._number``."""
+    numbered, number = [], estimators._number
+    monkeypatch.setattr(estimators, "_number",
+                        lambda *args: numbered.append(1) or number(*args))
+    return numbered
 
 
 @st.composite
@@ -191,15 +248,19 @@ class TestRefineKernel:
         n, columns = drawn
         got = want = RowPartition.trivial(n)
         for attr in columns:
-            got = refine_partition(got, attr)
+            parent, got = got, refine_partition(got, attr)
             want = unique_refine(want, attr)
             assert_same_partition(got, want)
+            # the keys of the parent's labels, or of its dense cells where
+            # it had to be renumbered, bound the child's labels
+            kept = parent.cell_count if compacts(parent, attr) else parent.labels
+            assert got.labels == kept * attr.domain_size
 
     @pytest.mark.parametrize("first, second, counted", [
-        ("binary", "ids", True),  # 2 cells x 500 codes: 2n keys, counted
-        ("ids", "wide", False),  # 500 cells x 50 codes: 50n keys, sorted
+        ("binary", "ids", True),  # 2 labels x 500 codes: 2n keys, counted
+        ("ids", "wide", False),  # 500 labels x 50 codes: 50n keys, sorted
     ])
-    def test_counting_and_sorting_paths(self, first, second, counted):
+    def test_counting_and_sorting_paths(self, first, second, counted, monkeypatch):
         n = 500
         rng = np.random.default_rng(3)
         columns = {
@@ -209,11 +270,13 @@ class TestRefineKernel:
         }
         parent = refine_partition(RowPartition.trivial(n), columns[first])
         attr = columns[second]
-        space = parent.cell_count * attr.domain_size
+        space = parent.labels * attr.domain_size
         assert (space <= estimators._COUNTING_SPACE_PER_ROW * n) == counted
-        assert_same_partition(
-            refine_partition(parent, attr), unique_refine(parent, attr)
-        )
+        numbered = counting_numbering(monkeypatch)
+        got = refine_partition(parent, attr)
+        assert not numbered  # either way the keys are the labels
+        assert got.labels == space
+        assert_same_partition(got, unique_refine(parent, attr))
 
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("cell_count, domain", [
@@ -221,10 +284,11 @@ class TestRefineKernel:
         (255, 257), (256, 256), (65_537, 1), (1, 65_537),  # 65,535 to 65,537
         (65_537, 65_537),  # above 2**32
     ])
-    def test_key_spaces_at_dtype_edges(self, cell_count, domain, wide, monkeypatch):
-        # keys take the narrowest dtype of the key space cell_count * domain,
-        # whatever the dtype of the cells and codes; 40,000 rows more than
-        # cells make every key space up to 65,537 a counted one
+    def test_key_spaces_at_dtype_edges(self, cell_count, domain, wide):
+        # keys, the child's labels, take the narrowest dtype that holds the
+        # key space cell_count * domain, whatever the dtype of the cells and
+        # codes; 40,000 rows more than cells make every key space up to
+        # 65,537 a counted one
         rng = np.random.default_rng(cell_count + domain)
         cells = rng.permutation(np.concatenate([
             np.arange(cell_count), rng.integers(0, cell_count, 40_000)]))
@@ -233,17 +297,15 @@ class TestRefineKernel:
         if not wide:
             cells = cells.astype(np.min_scalar_type(cell_count - 1))
             codes = codes.astype(np.min_scalar_type(domain - 1))
-        parent = RowPartition(cells, np.bincount(cells), cell_count)
+        parent = RowPartition(cells, np.bincount(cells), cell_count, cell_count)
         attr = SimpleNamespace(codes=codes, domain_size=domain)
-        seen = []
-        dense = estimators._dense
-        monkeypatch.setattr(estimators, "_dense",
-                            lambda keys, space: seen.append(keys.dtype) or dense(keys, space))
         got = refine_partition(parent, attr)
-        assert seen == [np.min_scalar_type(cell_count * domain)]
+        assert got.labels == cell_count * domain
+        assert got.cell_of_row.dtype == np.min_scalar_type(cell_count * domain - 1)
         keys = cells.astype(np.int64) * domain + codes.astype(np.int64)
+        assert np.array_equal(got.cell_of_row, keys)
         _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        assert_same_partition(got, RowPartition(inverse, counts, len(counts)))
+        assert_same_partition(got, RowPartition(inverse, counts, len(counts), len(counts)))
 
     def test_constant_attribute_keeps_parent_cells(self):
         parent = refine_partition(
@@ -256,18 +318,49 @@ class TestRefineKernel:
         assert part.cell_of_row.tolist() == parent.cell_of_row.tolist()
         assert part.cell_counts.tolist() == parent.cell_counts.tolist()
         assert part.cell_count == parent.cell_count
+        assert part.labels == parent.labels
 
     def test_single_row(self):
         attr = SimpleNamespace(codes=np.array([2]), domain_size=3)
         part = refine_partition(RowPartition.trivial(1), attr)
-        assert part.cell_of_row.tolist() == [0]
+        assert part.cell_of_row.tolist() == [2]  # the key 0 * 3 + 2
+        assert part.labels == 3
         assert part.cell_counts.tolist() == [1]
         assert part.cell_count == 1
 
+    def test_chain_reaches_every_compaction_trigger(self, monkeypatch):
+        # each step: (codes, domain, renumbered first, child's label bound)
+        n = 100
+        rng = np.random.default_rng(11)
+        ids = rng.permutation(n)
+        steps = [
+            (rng.integers(0, 5, n), 20, False, 20),  # 20 keys: counted, 5 cells
+            # 400 keys are too many to count, the 5 cells' 100 are not
+            (rng.integers(0, 4, n), 20, True, 5 * 20),
+            (rng.integers(0, 2, n), 2, False, 100 * 2),  # 200 keys: counted
+            # from here the cells' keys are too many to count too: sorted
+            (ids, 2**20, False, 200 * 2**20),
+            (ids, 2**20, False, 200 * 2**40),
+            # 200 * 2**60 keys do not fit in 64 bits; 100 cells' keys do
+            (ids, 2**20, True, 100 * 2**20),
+        ]
+        numbered = counting_numbering(monkeypatch)
+        got = want = RowPartition.trivial(n)
+        for codes, domain, renumbered, labels in steps:
+            attr = SimpleNamespace(codes=codes, domain_size=domain)
+            assert compacts(got, attr) == renumbered
+            before = len(numbered)
+            got, want = refine_partition(got, attr), unique_refine(want, attr)
+            assert len(numbered) - before == renumbered
+            assert got.labels == labels
+            assert_same_partition(got, want)
+
 
 class TestDeferredNumbering:
-    """refine_partition counts cells at once and numbers rows on the first
-    read of cell_of_row; nothing else can tell when that happened."""
+    """refine_partition defers nothing: a child's labels are its keys, so
+    reading cell_of_row computes nothing, and rows are renumbered only to
+    shrink a parent's label space (see TestRefineKernel). The names are
+    kept from when rows were numbered on the first read."""
 
     n = 500
 
@@ -285,19 +378,17 @@ class TestDeferredNumbering:
         ("ids", "wide"),  # 50n keys: sorted
     ])
     def test_numbered_once_on_first_read(self, first, second, monkeypatch):
-        numbered = []
-        number = estimators._number
-        monkeypatch.setattr(estimators, "_number",
-                            lambda *args: numbered.append(1) or number(*args))
+        numbered = counting_numbering(monkeypatch)
         columns = self.columns()
         parent = refine_partition(RowPartition.trivial(self.n), columns[first])
         part = refine_partition(parent, columns[second])
-        assert len(numbered) == 1  # the parent's rows, read to form the keys
         cells = part.cell_of_row
-        assert len(numbered) == 2
         assert part.cell_of_row is cells
-        assert len(numbered) == 2
-        assert_same_partition(part, unique_refine(parent, columns[second]))
+        assert not numbered
+        attr = columns[second]
+        keys = parent.cell_of_row.astype(np.int64) * attr.domain_size + attr.codes
+        assert np.array_equal(cells, keys)
+        assert_same_partition(part, unique_refine(parent, attr))
 
     @pytest.mark.parametrize("first, second", [("binary", "ids"), ("ids", "wide")])
     def test_late_read_refines_as_early_read(self, first, second):
@@ -306,11 +397,18 @@ class TestDeferredNumbering:
         early = refine_partition(parent, columns[second])
         early.cell_of_row
         late = refine_partition(parent, columns[second])
+        want = unique_refine(unique_refine(RowPartition.trivial(self.n), columns[first]),
+                             columns[second])
         for attr in (columns["ternary"], columns["wide"]):
-            assert_same_partition(refine_partition(late, attr),
-                                  refine_partition(early, attr))
+            got_late, got_early = refine_partition(late, attr), refine_partition(early, attr)
+            assert got_late.cell_of_row.dtype == got_early.cell_of_row.dtype
+            assert np.array_equal(got_late.cell_of_row, got_early.cell_of_row)
+            assert got_late.labels == got_early.labels
+            assert_same_partition(got_late, unique_refine(want, attr))
 
     def test_racing_first_reads_agree(self):
+        # a partition holds no state to race on: threads that refine the
+        # same parent at once get the reference partition
         columns = self.columns()
         parent = refine_partition(RowPartition.trivial(self.n), columns["binary"])
         want = unique_refine(parent, columns["ids"])
@@ -319,11 +417,10 @@ class TestDeferredNumbering:
         try:
             with ThreadPoolExecutor(4) as pool:
                 for _ in range(20):
-                    part = refine_partition(parent, columns["ids"])
-                    reads = [pool.submit(getattr, part, "cell_of_row") for _ in range(4)]
-                    for read in reads:
-                        assert np.array_equal(read.result(timeout=10), want.cell_of_row)
-                    assert part.cell_of_row is part.cell_of_row
+                    parts = [pool.submit(refine_partition, parent, columns["ids"])
+                             for _ in range(4)]
+                    for part in parts:
+                        assert_same_partition(part.result(timeout=10), want)
         finally:
             sys.setswitchinterval(interval)
 
@@ -332,8 +429,14 @@ class TestDeferredNumbering:
             raise AssertionError("rows numbered")
 
         monkeypatch.setattr(estimators, "_number", fail)
-        part = refine_partition(RowPartition.trivial(self.n), self.columns()["wide"])
+        columns = self.columns()
+        part = refine_partition(RowPartition.trivial(self.n), columns["wide"])
         assert part.cell_count == 50
+        assert part.cell_counts.sum() == self.n
+        # 2 x 3 x 50 = 300 labels: the counting regime never renumbers
+        for name in ("binary", "ternary", "wide"):
+            part = refine_partition(part, columns[name])
+        assert part.labels == 50 * 2 * 3 * 50
         assert part.cell_counts.sum() == self.n
 
 

@@ -26,6 +26,7 @@ from corrsets.search import (
 )
 import helpers
 from helpers import brute_force_scores, brute_force_topk, random_dataset
+from test_estimators import compacts
 
 
 def dataset_with_entropies(levels):
@@ -495,10 +496,11 @@ class TestAgainstBruteForce:
 def counted(fn, *args, **kwargs):
     """fn's result and how often it called ``refine_partition`` (a child's
     in ``search._children``, a rebuild's from the root in ``search``, a
-    chain's in ``score_subset``),
-    numbered a partition's rows (``estimators._number``), expanded a
-    search node and pushed onto a heap."""
-    counts = {"refine": 0, "number": 0, "expand": 0, "push": 0}
+    chain's in ``score_subset``), renumbered a partition's rows
+    (``estimators._number``), expanded a search node and pushed onto a
+    heap, and how many of its refinements had a parent that the label
+    contract says must be renumbered first (``compact``)."""
+    counts = {"refine": 0, "number": 0, "expand": 0, "push": 0, "compact": 0}
 
     def counting(name, f):
         def call(*a, **kw):
@@ -506,7 +508,12 @@ def counted(fn, *args, **kwargs):
             return f(*a, **kw)
         return call
 
-    refine = counting("refine", estimators.refine_partition)
+    refine_counted = counting("refine", estimators.refine_partition)
+
+    def refine(parent, attr):
+        counts["compact"] += compacts(parent, attr)
+        return refine_counted(parent, attr)
+
     with pytest.MonkeyPatch.context() as mp:
         for module in (estimators, search):
             mp.setattr(module, "refine_partition", refine)
@@ -546,9 +553,10 @@ class TestRefinementCounts:
 
 
 class TestNumberingCounts:
-    """Only a partition that is refined further has its rows numbered:
-    never a leaf of a walk, a greedy level's losing children, the last
-    prefix of a fold, or a bnb child whose bound fails when it is scored."""
+    """A refinement labels rows with its keys, so rows are renumbered only
+    where a parent's label space must shrink (``compacts``): never on the
+    benchmark's counted key spaces, and the same in every search. The names
+    are kept from when every refined partition was numbered."""
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     @pytest.mark.parametrize("d", [3, 6, 9])
@@ -567,22 +575,25 @@ class TestNumberingCounts:
         monkeypatch.setattr(search, "TopKStore", Recording)
         (_, stats), counts = counted(branch_and_bound, ds, k=3, alpha=alpha)
         assert counts["refine"] == stats.nodes_explored - 1
-        # a passing child is numbered and pushed at once; one that a later
-        # sibling beats waits in the heap until the cutoff prunes it
-        assert 0 < counts["push"] == counts["number"] == sum(passed) < counts["refine"]
+        # a passing child is pushed at once; one that a later sibling beats
+        # waits in the heap until the cutoff prunes it
+        assert 0 < counts["push"] == sum(passed) < counts["refine"]
+        assert counts["number"] == counts["compact"]
 
     def test_exhaustive_numbers_every_subset_without_the_last_rank(self):
         ds = random_dataset(np.random.default_rng(5), d=10, n=60)
         _, counts = counted(exhaustive_topk, ds, k=3)
-        assert (counts["refine"], counts["number"]) == (2**10 - 1, 2**9 - 1)
+        assert counts["refine"] == 2**10 - 1
+        assert 0 < counts["number"] == counts["compact"]
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_greedy_numbers_only_the_nodes_it_expands(self, seed):
         ds = random_dataset(np.random.default_rng(seed), d=8, n=60)
         (_, stats), counts = counted(greedy, ds, k=3)
+        assert counts["number"] == counts["compact"]
         # the root's partition is trivial; the d - 1 singletons and each
         # level's winner are expanded
-        assert counts["number"] == counts["expand"] - 1 >= ds.d - 1
+        assert counts["expand"] - 1 >= ds.d - 1
         assert counts["refine"] == ds.d - 1 + stats.nodes_explored
 
     @pytest.mark.parametrize("estimator", ["plugin", "relaxed"])
@@ -590,7 +601,8 @@ class TestNumberingCounts:
     def test_score_subset_numbers_every_prefix_but_the_last(self, m, estimator):
         ds = random_dataset(np.random.default_rng(m), d=9, n=60)
         _, counts = counted(score_subset, ds, range(m), estimator)
-        assert (counts["refine"], counts["number"]) == (m, m - 1)
+        assert counts["refine"] == m
+        assert counts["number"] == counts["compact"] <= m - 1
 
 
 @pytest.mark.parametrize("estimator", estimators.ESTIMATORS)
@@ -651,10 +663,10 @@ class TestPartitionStore:
         (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
     ])
     def test_narrow_dtype_refines_like_int64(self, cell_count, dtype):
-        # refine_partition packs cell indices into the narrowest dtype that
-        # holds them, and the next refinement computes its keys in the
-        # narrowest dtype of its key space whatever the cells' dtype, so it
-        # refines exactly as the int64 partition with the same cells
+        # refine_partition packs labels into the narrowest dtype that holds
+        # their bound, and the next refinement computes its keys in the
+        # narrowest dtype of its key space whatever the labels' dtype, so it
+        # refines exactly as the int64 partition with the same labels
         rng = np.random.default_rng(cell_count)
         # every cell occupied, the last one included, in shuffled row order
         cells = rng.permutation(np.concatenate([
@@ -664,7 +676,8 @@ class TestPartitionStore:
         assert packed.cell_of_row.dtype == dtype
         assert packed.cell_count == cell_count
         assert np.array_equal(packed.cell_of_row, cells)
-        part = RowPartition(cells, np.bincount(cells), cell_count)
+        assert packed.labels == cell_count
+        part = RowPartition(cells, np.bincount(cells), cell_count, cell_count)
         attr = SimpleNamespace(codes=rng.integers(0, 3, cells.shape[0]), domain_size=3)
         want, got = refine_partition(part, attr), refine_partition(packed, attr)
         assert got.cell_of_row.dtype == want.cell_of_row.dtype
