@@ -12,6 +12,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -535,38 +536,46 @@ def discretize_equal_frequency(values, bins: int):
     keeps a code of its own, in ascending value order. Otherwise group
     sizes before tie handling differ by at most one. All occurrences of a
     tied value take the group of the first sorted position of that value
-    (the lower bin), so the returned code is a function of the value and
-    does not depend on how the sort orders ties; codes are then compacted
-    to remove bins emptied by that rule. Returns the codes, in the
-    narrowest unsigned dtype that holds them, and a (codes, 2) array of
-    each code's lowest and highest value.
+    (the lower bin), and codes are compacted to remove bins emptied by that
+    rule, so the returned code is a function of the value alone.
+
+    One sort of the values finds the cuts: each group's last sorted value,
+    or every distinct value when there are at most ``bins`` of them, less
+    the maximum and duplicates. A value's code is the number of cuts below
+    it, found by bisecting the cuts once per bit of the code. Code j runs
+    from the least value above cut j - 1 up to cut j, and the last code up
+    to the maximum. Returns the codes, in the narrowest unsigned dtype that
+    holds them, and a (codes, 2) array of each code's lowest and highest
+    value; a zero there reads ``0.0``, whichever zeros the column holds.
     """
+    bins = operator.index(bins)  # np.arange below would take a float bins silently
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
         raise DataError("cannot discretize an empty column")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    if not np.all(np.isfinite(vals)):
+    ranked = np.sort(vals)
+    if not np.isfinite(ranked[[0, -1]]).all():  # nan sorts last
         raise DataError("cannot discretize non-finite values")
-    n = vals.size
-    order = np.argsort(vals)
-    sorted_vals = vals[order]
-    starts = np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
-    firsts = np.flatnonzero(starts)
-    # with at most ``bins`` values, a cut after every rank gives each its own group
-    cuts = bins if len(firsts) > bins else n
-    base, rem = divmod(n, cuts)
-    sizes = np.full(cuts, base, dtype=np.int64)
-    sizes[:rem] += 1
-    ends = np.cumsum(sizes)  # one past each group's last rank
-    group = np.searchsorted(ends, firsts, side="right")  # that of each value's first rank
-    opens = np.concatenate(([True], group[1:] != group[:-1]))
-    starts[firsts[~opens]] = False  # now true where a nonempty group starts
-    codes = np.empty(n, dtype=np.min_scalar_type(np.count_nonzero(opens) - 1))
-    codes[order] = np.cumsum(starts) - 1
-    # a group's highest value sits at its last rank before ties moved any
-    highs = sorted_vals[ends[group[opens]] - 1]
-    return codes, np.column_stack((sorted_vals[firsts[opens]], highs))
+    if np.count_nonzero(ranked[1:] != ranked[:-1]) < bins:
+        cuts = ranked  # at most ``bins`` values: each is a group
+    else:  # group g ends at rank g * base + min(g, rem): the first rem hold one more
+        base, rem = divmod(vals.size, bins)
+        ends = np.arange(1, bins) * base + np.minimum(np.arange(1, bins), rem)
+        cuts = ranked[ends - 1]
+    cuts = cuts[cuts < ranked[-1]]
+    cuts = cuts[np.diff(cuts, prepend=-np.inf) > 0]
+    # cuts padded with inf to 2^m - 1 entries: m passes of branch-free bisection
+    table = np.full((1 << cuts.size.bit_length()) - 1, np.inf)
+    table[:cuts.size] = cuts
+    codes = np.zeros(vals.size, dtype=np.min_scalar_type(cuts.size))
+    probe = np.empty(vals.size)
+    step = table.size + 1
+    while step := step >> 1:  # "clip" takes into probe unbuffered; no index is out of range
+        table[step - 1:].take(codes, out=probe, mode="clip")
+        codes += (vals > probe) * codes.dtype.type(step)
+    lows = ranked[np.searchsorted(ranked, cuts, side="right")]
+    return codes, np.column_stack((np.append(ranked[0], lows), np.append(cuts, ranked[-1]))) + 0.0
 
 
 # A byte column is read from its bytes when at least half of this many

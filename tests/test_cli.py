@@ -145,6 +145,18 @@ class TestDiscover:
         assert bins == {"x": [[0.0, 9.0], [10.0, 19.0], [20.0, 29.0], [30.0, 39.0]],
                         "y": [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]}
 
+    def test_zero_edges_do_not_depend_on_row_order(self, tmp_path):
+        # the sort may put either zero first; an edge reads 0.0 either way
+        reports = []
+        for rows in (["-0.0,x", "0,y"], ["0,y", "-0.0,x"]):
+            path, out = tmp_path / "zeros.csv", tmp_path / f"zeros{len(reports)}.json"
+            path.write_text("\n".join(["a,b", *rows, "1,x", "2,y"]) + "\n", encoding="utf-8")
+            assert main(["discover", "--input", str(path), "--json", str(out)]) == 0
+            reports.append(strip_timing(out))
+        assert reports[0] == reports[1]
+        bins = json.loads(reports[0])["dataset"]["attributes"][0]["bins"]
+        assert json.dumps(bins) == "[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]"
+
     def test_report_records_kind_and_non_finite_note(self, tmp_path, capsys):
         path = tmp_path / "kinds.csv"
         rows = ["x,t,z"] + [f"{i},v{i % 3},{'nan' if i == 7 else i % 5}" for i in range(40)]

@@ -292,15 +292,16 @@ def stable_discretize(values, bins):
     order = sorted(range(n), key=values.__getitem__)
     distinct = sorted(set(values))
     if len(distinct) <= bins:
-        return [distinct.index(v) for v in values]
+        code = {v: c for c, v in enumerate(distinct)}
+        return [code[v] for v in values]
     base, rem = divmod(n, bins)
     group_of_rank = [g for g in range(bins) for _ in range(base + (g < rem))]
     first_rank = {}
     for rank, i in enumerate(order):
         first_rank.setdefault(values[i], rank)
     groups = [group_of_rank[first_rank[v]] for v in values]
-    used = sorted(set(groups))
-    return [used.index(g) for g in groups]
+    used = {g: code for code, g in enumerate(sorted(set(groups)))}
+    return [used[g] for g in groups]
 
 
 class TestDiscretize:
@@ -367,6 +368,8 @@ class TestDiscretize:
         bins=st.integers(1, 9),
     )
     @example(values=[0.0, -0.0, 1.0, -0.0, 0.0, 2.0, 3.0], bins=2)
+    @example(values=[0.0] * 40 + [-0.0] * 40 + [1.0] * 40, bins=2)
+    @example(values=[-0.0] * 40 + [0.0] * 40 + [1.0] * 40, bins=2)
     @settings(max_examples=300, deadline=None)
     def test_matches_stable_sort_reference(self, values, bins):
         # ties may come out of the sort in any order: every copy of a value
@@ -375,7 +378,59 @@ class TestDiscretize:
         assert codes.tolist() == stable_discretize(values, bins)
         coded = [[v for v, c in zip(values, codes.tolist()) if c == code]
                  for code in range(len(ranges))]
-        assert ranges.tolist() == [[min(vs), max(vs)] for vs in coded]
+        # bit for bit, so an edge at zero must read 0.0 whichever zero sorted first
+        expected = np.array([[min(vs), max(vs)] for vs in coded]) + 0.0
+        assert ranges.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @staticmethod
+    def tied_column(seed, grid_only):
+        """20,000 values: zero, of both signs, for 45% of them, which makes it
+        the least value and the first code's low edge and repeats cuts; the
+        maximum for 25%, which puts cuts on it; and between them a grid of 80
+        tied values or, unless ``grid_only``, near-unique ones."""
+        rng = np.random.default_rng(seed)
+        u = rng.random(20_000)
+        values = rng.integers(1, 81, 20_000) / 4
+        if not grid_only:
+            values = np.round(rng.uniform(0.001, 20, 20_000), 3)
+        values[u < 0.45] = rng.choice([-0.0, 0.0], np.count_nonzero(u < 0.45))
+        values[u > 0.75] = 25.0
+        return values
+
+    @pytest.mark.parametrize("grid_only", [False, True])
+    @pytest.mark.parametrize("bins", [1, 2, 5, 50, 1000])
+    def test_workload_scale_ties_and_zeros(self, bins, grid_only):
+        values = self.tied_column(29, grid_only)
+        zeros = np.signbit(values[values == 0])
+        assert zeros.any() and not zeros.all()
+        codes, ranges = discretize_equal_frequency(values, bins)
+        assert codes.tolist() == stable_discretize(values.tolist(), bins)
+        assert codes.dtype == np.min_scalar_type(len(ranges) - 1)
+        # each code's lowest and highest value, bit for bit, a zero as 0.0
+        expected = np.array([[values[codes == c].min(), values[codes == c].max()]
+                             for c in range(len(ranges))]) + 0.0
+        assert ranges.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        # the same values in another row order: the same code for each row,
+        # the same ranges to the bit
+        order = np.random.default_rng(bins).permutation(len(values))
+        shuffled, shuffled_ranges = discretize_equal_frequency(values[order], bins)
+        assert np.array_equal(shuffled, codes[order])
+        assert shuffled_ranges.view(np.int64).tolist() == ranges.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 1.0], [1.0, 2.0, 3.0, 4.0, 5.0]])
+    def test_bins_must_be_an_integer(self, values):
+        # the first column has no more distinct values than bins, the second more
+        for bins in (2.5, 2.0, "2", None):
+            with pytest.raises(TypeError):
+                discretize_equal_frequency(values, bins)
+            table = RawTable(("c",), (tuple(map(str, values)),), len(values))
+            with pytest.raises(TypeError):
+                encode(table, bins=bins)
+        for bins in (True, np.int64(1)):  # integers, as operator.index reads them
+            codes, ranges = discretize_equal_frequency(values, bins)
+            assert codes.tolist() == [0] * len(values)
+            assert ranges.tolist() == [[min(values), max(values)]]
+            assert encode(table, bins=bins).attributes[0].domain_size == 1
 
 
 class TestEncode:
