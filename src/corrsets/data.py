@@ -44,7 +44,8 @@ class ParseError(DataError):
 class RawTable:
     """Column-major text table. Every column is kept as UTF-8 byte spans and
     reads and compares as the tuple of its tokens; a sequence of ``str`` is
-    converted when the table is built, and any other token is a DataError.
+    converted when the table is built. Any other token, or a column of
+    other than ``row_count`` tokens, is a DataError.
     ``rejected_rows`` counts rows dropped for containing empty fields
     (missing values are not imputed)."""
 
@@ -57,6 +58,9 @@ class RawTable:
         object.__setattr__(self, "columns", tuple(
             column if isinstance(column, _ByteTokens) else _ByteTokens.of(column, name)
             for name, column in zip(self.column_names, self.columns, strict=True)))
+        for name, column in zip(self.column_names, self.columns):
+            if len(column) != self.row_count:
+                raise DataError(f"column {name!r} has {len(column)} tokens, not {self.row_count}")
 
 
 @dataclass(frozen=True, eq=False)

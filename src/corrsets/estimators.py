@@ -123,8 +123,9 @@ class RowPartition:
     """Grouping of the n rows into the distinct joint-value cells of a subset.
 
     ``cell_of_row[r]`` is row r's label, below the bound ``labels``: two rows
-    share a label exactly when they share a cell. Labels need not be dense,
-    so ``cell_count``, the number of nonempty cells, can be below
+    share a label exactly when they share a cell. A refinement's labels are
+    its keys, renumbered densely only where they would pass 64 bits, so
+    ``cell_count``, the number of nonempty cells, can be far below
     ``labels``. ``cell_counts`` holds each cell's size in ascending label
     order. Refining by one attribute at a time makes this the incremental
     carrier for joint entropies. ``cell_counts`` is None on a partition
@@ -184,20 +185,19 @@ def refine_partition(parent: RowPartition, attr) -> RowPartition:
     so ``parent.cell_of_row`` and the codes may have any integer dtype.
     Cells are counted in ascending key order, that is by (parent cell,
     code), which keeps repeated refinement deterministic. The parent's rows
-    are renumbered densely first only to shrink the key space: where that
-    alone makes it small enough to count, or where it would not fit in 64
+    are renumbered densely first only where the keys would not fit in 64
     bits.
     """
     domain = int(attr.domain_size)
     labels, bound = parent.cell_of_row, parent.labels
-    countable = _COUNTING_SPACE_PER_ROW * labels.shape[0]
-    if bound * domain > countable >= parent.cell_count * domain or bound * domain > 2**64:
+    if bound * domain > 2**64:
         labels, bound = _number(labels, bound), parent.cell_count
     space = bound * domain
     # under one label every label is 0, and domain may not fit the keys' dtype
     keys = np.multiply(labels, domain if bound > 1 else 0,
                        dtype=np.min_scalar_type(max(space - 1, 0)), casting="unsafe")
-    np.add(keys, attr.codes, out=keys, casting="unsafe")
+    # in the keys' dtype: uint64 keys plus int64 codes would be added in float64
+    np.add(keys, attr.codes, out=keys, dtype=keys.dtype, casting="unsafe")
     counts = _count(keys, space)
     return RowPartition(keys, counts, int(counts.shape[0]), space)
 

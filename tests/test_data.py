@@ -684,6 +684,18 @@ class TestEncode:
         with pytest.raises(DataError, match="column 'c'"):
             RawTable(("c",), (column,), 2)
 
+    @pytest.mark.parametrize("columns, row_count, message", [
+        ((("x", "y", "x", "y"), ("p", "q", "q", "p")), 2, "column 'a' has 4 tokens, not 2"),
+        ((("x", "y"), ("p", "q")), 3, "column 'a' has 2 tokens, not 3"),
+        ((("x", "y", "x"), ("p", "q")), 3, "column 'b' has 2 tokens, not 3"),
+    ], ids=["too-many", "too-few", "ragged"])
+    def test_column_of_other_than_row_count_tokens_is_data_error(
+            self, columns, row_count, message):
+        # else encode reads the columns as they are: wrong entropies, and a
+        # numpy broadcast error once two of them are scored together
+        with pytest.raises(DataError, match=f"^{message}$"):
+            RawTable(("a", "b"), columns, row_count)
+
     def test_text_column_decoded_up_to_its_first_token(self, monkeypatch):
         def refuse(self):
             raise AssertionError("whole column decoded")

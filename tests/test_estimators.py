@@ -208,11 +208,8 @@ def assert_same_partition(got, want):
 
 def compacts(parent, attr) -> bool:
     """Whether refining ``parent`` by ``attr`` renumbers the parent first:
-    only dense labels make its key space countable, or its key space does
-    not fit in 64 bits."""
-    space = parent.labels * attr.domain_size
-    countable = estimators._COUNTING_SPACE_PER_ROW * parent.cell_of_row.shape[0]
-    return space > countable >= parent.cell_count * attr.domain_size or space > 2**64
+    only where its keys would not fit in 64 bits."""
+    return parent.labels * attr.domain_size > 2**64
 
 
 def counting_numbering(monkeypatch) -> list:
@@ -334,15 +331,14 @@ class TestRefineKernel:
         rng = np.random.default_rng(11)
         ids = rng.permutation(n)
         steps = [
-            (rng.integers(0, 5, n), 20, False, 20),  # 20 keys: counted, 5 cells
-            # 400 keys are too many to count, the 5 cells' 100 are not
-            (rng.integers(0, 4, n), 20, True, 5 * 20),
-            (rng.integers(0, 2, n), 2, False, 100 * 2),  # 200 keys: counted
-            # from here the cells' keys are too many to count too: sorted
-            (ids, 2**20, False, 200 * 2**20),
-            (ids, 2**20, False, 200 * 2**40),
-            # 200 * 2**60 keys do not fit in 64 bits; 100 cells' keys do
-            (ids, 2**20, True, 100 * 2**20),
+            (rng.integers(0, 5, n), 16, False, 16),  # 16 keys: counted, 5 cells
+            (rng.integers(0, 2, n), 2, False, 2**5),  # 32 keys: counted
+            # from here the keys are too many to count: sorted, as they are
+            (ids, 2**20, False, 2**25),
+            (ids, 2**20, False, 2**45),
+            (ids, 2**19, False, 2**64),  # the largest key is 2**64 - 1
+            # 2**65 keys do not fit in 64 bits; the 100 cells' 200 keys are counted
+            (rng.integers(0, 2, n), 2, True, 100 * 2),
         ]
         numbered = counting_numbering(monkeypatch)
         got = want = RowPartition.trivial(n)
@@ -355,12 +351,36 @@ class TestRefineKernel:
             assert got.labels == labels
             assert_same_partition(got, want)
 
+    @pytest.mark.parametrize("table", ["binary", "copies"])
+    def test_keys_kept_below_64_bits(self, table, monkeypatch):
+        # few cells in a key space far above 2n: the keys are sorted as they
+        # are, never renumbered to make them countable
+        rng = np.random.default_rng(17)
+        if table == "binary":  # 40 independent binary columns: 2**40 keys
+            n, domain = 20_000, 2
+            columns = rng.integers(0, 2, (40, n))
+        else:  # a 20-value column and 12 copies, 2% of each copy redrawn: 20**13
+            # keys, past 2**53, from int64 codes
+            n, domain = 5_000, 20
+            columns = np.tile(rng.integers(0, 20, n), (13, 1))
+            redrawn = rng.random(columns.shape) < 0.02
+            redrawn[0] = False
+            columns[redrawn] = rng.integers(0, 20, int(redrawn.sum()))
+        numbered = counting_numbering(monkeypatch)
+        got = want = RowPartition.trivial(n)
+        for codes in columns:
+            attr = SimpleNamespace(codes=codes, domain_size=domain)
+            got, want = refine_partition(got, attr), unique_refine(want, attr)
+            assert_same_partition(got, want)
+        assert got.labels == domain ** len(columns)
+        assert not numbered
+
 
 class TestDeferredNumbering:
     """refine_partition defers nothing: a child's labels are its keys, so
-    reading cell_of_row computes nothing, and rows are renumbered only to
-    shrink a parent's label space (see TestRefineKernel). The names are
-    kept from when rows were numbered on the first read."""
+    reading cell_of_row computes nothing, and rows are renumbered only where
+    a parent's keys would not fit in 64 bits (see TestRefineKernel). The
+    names are kept from when rows were numbered on the first read."""
 
     n = 500
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import corrsets
+from corrsets.datasets import write_tic_tac_toe_csv
 
 # __main__ runs the command line when imported
 MODULES = ["corrsets"] + sorted(
@@ -57,3 +58,13 @@ def test_no_unused_imports(name):
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used |= set(ast.literal_eval(node.value))
     assert sorted(imported - used) == []
+
+
+def test_readme_example_runs(tmp_path, monkeypatch, capsys):
+    # README's library example, on the tic-tac-toe table as its data.csv
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    write_tic_tac_toe_csv(tmp_path / "data.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(example, {})
+    assert len(capsys.readouterr().out.splitlines()) == 3 + 2  # top-3, two scores

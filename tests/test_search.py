@@ -554,9 +554,9 @@ class TestRefinementCounts:
 
 class TestNumberingCounts:
     """A refinement labels rows with its keys, so rows are renumbered only
-    where a parent's label space must shrink (``compacts``): never on the
-    benchmark's counted key spaces, and the same in every search. The names
-    are kept from when every refined partition was numbered."""
+    where a parent's keys would not fit in 64 bits (``compacts``). These
+    tables' key spaces stay below that, so no search renumbers a partition.
+    The names are kept from when every refined partition was numbered."""
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     @pytest.mark.parametrize("d", [3, 6, 9])
@@ -578,19 +578,19 @@ class TestNumberingCounts:
         # a passing child is pushed at once; one that a later sibling beats
         # waits in the heap until the cutoff prunes it
         assert 0 < counts["push"] == sum(passed) < counts["refine"]
-        assert counts["number"] == counts["compact"]
+        assert counts["number"] == counts["compact"] == 0
 
     def test_exhaustive_numbers_every_subset_without_the_last_rank(self):
         ds = random_dataset(np.random.default_rng(5), d=10, n=60)
         _, counts = counted(exhaustive_topk, ds, k=3)
         assert counts["refine"] == 2**10 - 1
-        assert 0 < counts["number"] == counts["compact"]
+        assert counts["number"] == counts["compact"] == 0
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_greedy_numbers_only_the_nodes_it_expands(self, seed):
         ds = random_dataset(np.random.default_rng(seed), d=8, n=60)
         (_, stats), counts = counted(greedy, ds, k=3)
-        assert counts["number"] == counts["compact"]
+        assert counts["number"] == counts["compact"] == 0
         # the root's partition is trivial; the d - 1 singletons and each
         # level's winner are expanded
         assert counts["expand"] - 1 >= ds.d - 1
@@ -602,7 +602,7 @@ class TestNumberingCounts:
         ds = random_dataset(np.random.default_rng(m), d=9, n=60)
         _, counts = counted(score_subset, ds, range(m), estimator)
         assert counts["refine"] == m
-        assert counts["number"] == counts["compact"] <= m - 1
+        assert counts["number"] == counts["compact"] == 0
 
 
 @pytest.mark.parametrize("estimator", estimators.ESTIMATORS)
