@@ -4,6 +4,11 @@ from corrsets.data import encode
 from corrsets.datasets import tic_tac_toe_table, write_tic_tac_toe_csv
 
 
+def pytest_addoption(parser):
+    parser.addoption("--update-golden", action="store_true",
+                     help="rewrite tests/golden/ from the current outputs")
+
+
 @pytest.fixture(scope="session")
 def ttt_table():
     return tic_tac_toe_table()
