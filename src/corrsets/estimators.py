@@ -27,13 +27,15 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache, partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "RowPartition",
     "SubsetScore",
+    "ScoreParts",
     "ESTIMATORS",
     "entropy",
     "xlog2x_table",
@@ -44,6 +46,7 @@ __all__ = [
     "m0_relaxed",
     "correction_relaxed_bits",
     "assemble_score",
+    "extend_parts",
     "relaxed_score",
     "score_subset",
 ]
@@ -282,9 +285,15 @@ def correction_relaxed_bits(domain_sizes, n: int) -> float:
     """Unnormalized relaxed correction: summed m0_relaxed terms, in bits.
 
     The ordering that maximizes the sum puts domain sizes in decreasing
-    order, so no enumeration over orderings is needed.
+    order, so no enumeration over orderings is needed. The sum depends only
+    on those sorted sizes and n, so each distinct pair is computed once and
+    kept in a bounded cache.
     """
-    sizes = sorted((int(d) for d in domain_sizes), reverse=True)
+    return _relaxed_bits(tuple(sorted(map(int, domain_sizes), reverse=True)), n)
+
+
+@lru_cache(maxsize=4096)
+def _relaxed_bits(sizes: tuple[int, ...], n: int) -> float:
     if len(sizes) < 2:
         return 0.0
     total = 0.0
@@ -397,24 +406,50 @@ def assemble_score(
     )
 
 
+class ScoreParts(NamedTuple):
+    """The parts of a subset's relaxed score that need no partition:
+    ``members`` (attribute indices), the sum and the largest of their
+    entropies, and the relaxed correction in bits, which is 0 where the
+    normalizer is."""
+
+    members: tuple[int, ...]
+    entropy_sum: float
+    entropy_max: float
+    correction_bits: float
+
+    def score(self, joint_entropy: float) -> SubsetScore:
+        """The score of these members at the given joint entropy."""
+        return assemble_score(self.members, self.entropy_sum, self.entropy_max,
+                              joint_entropy, self.correction_bits)
+
+
+_NO_PARTS = ScoreParts((), 0.0, 0.0, 0.0)
+
+
+def extend_parts(dataset, parent, i: int) -> ScoreParts:
+    """The score parts of ``parent``'s members plus attribute ``i``, from
+    ``parent``'s (a :class:`SubsetScore` or :class:`ScoreParts`). The entropy
+    of ``i`` is added last, so parts extended one member at a time in
+    decreasing-entropy order carry the bits of that left-to-right sum."""
+    h = dataset.attributes[i].entropy
+    members = parent.members + (i,)
+    entropy_sum = parent.entropy_sum + h
+    entropy_max = max(parent.entropy_max, h)
+    bits = 0.0
+    # a zero normalizer takes no correction, and m0_relaxed needs n >= 2
+    if entropy_sum > entropy_max:
+        bits = correction_relaxed_bits(
+            [dataset.attributes[j].domain_size for j in members], dataset.n)
+    return ScoreParts(members, entropy_sum, entropy_max, bits)
+
+
 def relaxed_score(dataset, members, partition: RowPartition) -> SubsetScore:
     """The relaxed score of the subset ``members`` (attribute indices) whose
-    cells are ``partition``. Member entropies are added one at a time in the
-    order given, so every caller that passes members in decreasing-entropy
-    order gets the same bits."""
-    entropy_sum = entropy_max = 0.0
-    sizes = []
-    for i in members:
-        attr = dataset.attributes[i]
-        h = attr.entropy
-        entropy_sum += h
-        if h > entropy_max:
-            entropy_max = h
-        sizes.append(attr.domain_size)
-    # a zero normalizer takes no correction, and m0_relaxed needs n >= 2
-    bits = correction_relaxed_bits(sizes, dataset.n) if entropy_sum > entropy_max else 0.0
-    return assemble_score(tuple(members), entropy_sum, entropy_max,
-                          entropy(partition.cell_counts, dataset.n), bits)
+    cells are ``partition``. Its parts are extended one member at a time in
+    the order given, so every caller that passes members in
+    decreasing-entropy order gets the same bits."""
+    parts = reduce(partial(extend_parts, dataset), members, _NO_PARTS)
+    return parts.score(entropy(partition.cell_counts, dataset.n))
 
 
 def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:

@@ -30,9 +30,10 @@ from functools import reduce
 from .estimators import (
     RowPartition,
     SubsetScore,
+    entropy,
+    extend_parts,
     order_attributes,
     refine_partition,
-    relaxed_score,
 )
 
 __all__ = [
@@ -134,11 +135,12 @@ class SearchStats:
             self.solution_depth = len(store.results[0][0])
         return self
 
-    def count(self, child: SearchNode, store: TopKStore) -> None:
-        """Count one scored child as explored and offer it to ``store``."""
+    def count(self, child: SearchNode, store: TopKStore | None = None) -> None:
+        """Count one child as explored and offer it to ``store``, if given."""
         self.nodes_explored += 1
         self.max_depth_reached = max(self.max_depth_reached, child.depth)
-        store.offer(child.members, child.score)
+        if store is not None:
+            store.offer(child.members, child.score)
 
 
 # the empty subset, where every search starts
@@ -151,9 +153,9 @@ def _children(ctx: SearchContext, node: SearchNode,
     from its own refinement of ``part`` (the node's partition) and yielded
     with it. A singleton's normalizer is 0, so it scores 0."""
     for rank in range(node.last_index + 1, ctx.d):
+        parts = extend_parts(ctx.dataset, node.score, ctx.order[rank])
         child_part = refine_partition(part, ctx.attrs[rank])
-        score = relaxed_score(ctx.dataset, node.score.members + (ctx.order[rank],),
-                              child_part)
+        score = parts.score(entropy(child_part.cell_counts, ctx.dataset.n))
         yield SearchNode(node.members + (rank,), score), child_part
         del child_part  # not held while the next child is refined
 
@@ -200,7 +202,13 @@ def branch_and_bound(
     Below 1 only the score guarantee holds. A ``budget`` in
     seconds (None or inf for none; NaN or negative raise ``ValueError``)
     returns the best found so far with ``stats.completed`` False when
-    exceeded; it is checked after every scored child.
+    exceeded; it is checked after every child, skipped or scored.
+
+    A child is first scored and bounded at its parent's joint entropy.
+    Refining never lowers the joint entropy, so these estimates are at
+    least its own score and bound. Where they would already prune it, the
+    child is counted as explored (and pruned, below the last rank) without
+    being refined or scored: its stats are the same as if it had been.
 
     Each queued child keeps its partition's row labels (not its cell
     counts), so a popped node is refined only into its children; past
@@ -241,21 +249,37 @@ def branch_and_bound(
         # improves, so one that a later sibling beats is pruned at the
         # heap-top cutoff. The budget is checked after every child, so one
         # wide expansion cannot overrun it
-        for child, child_part in _children(ctx, node, part):
-            stats.count(child, store)
-            if child.last_index < ctx.d - 1:  # else no refinements to cut or keep
-                # bound_ref <= bound_mon on every node, so it alone binds
-                potential = bound_ref(child, ctx)
-                if not store.admits(alpha * potential, child.members):
+        for rank in range(node.last_index + 1, ctx.d):
+            parts = extend_parts(ctx.dataset, node.score, ctx.order[rank])
+            members, last = node.members + (rank,), rank == ctx.d - 1
+            # at the parent's joint entropy: at least the child's score and
+            # bound, so where the store refuses them it refuses the child.
+            # At the last rank there are no refinements to cut or keep
+            estimate = SearchNode(members, parts.score(node.score.joint_entropy))
+            if not store.admits(estimate.score.corrected_score, members) and (
+                    last or not store.admits(alpha * bound_ref(estimate, ctx), members)):
+                stats.count(estimate)  # not offered: the store would refuse it
+                if not last:
                     stats.nodes_pruned += 1
-                else:
-                    cells = child_part.cell_of_row
-                    queued = None  # rebuilt from the root when popped
-                    if stored + cells.nbytes <= PARTITION_STORE_BYTES:
-                        stored += cells.nbytes
-                        queued = RowPartition(cells, None, child_part.cell_count,
-                                              child_part.labels)
-                    heapq.heappush(heap, (-potential, child.members, child, queued))
+            else:
+                child_part = refine_partition(part, ctx.attrs[rank])
+                child = SearchNode(members, parts.score(
+                    entropy(child_part.cell_counts, ctx.dataset.n)))
+                stats.count(child, store)
+                if not last:
+                    # bound_ref <= bound_mon on every node, so it alone binds
+                    potential = bound_ref(child, ctx)
+                    if not store.admits(alpha * potential, members):
+                        stats.nodes_pruned += 1
+                    else:
+                        cells = child_part.cell_of_row
+                        queued = None  # rebuilt from the root when popped
+                        if stored + cells.nbytes <= PARTITION_STORE_BYTES:
+                            stored += cells.nbytes
+                            queued = RowPartition(cells, None, child_part.cell_count,
+                                                  child_part.labels)
+                        heapq.heappush(heap, (-potential, members, child, queued))
+                del child_part  # not held while the next child is refined
             if out_of_time():
                 break
     return store, stats.finish(ctx.d, store)

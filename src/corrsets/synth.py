@@ -16,7 +16,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -224,11 +224,6 @@ class RegretCurve:
     trials: int
 
 
-@lru_cache(maxsize=4096)
-def _relaxed_bits(sorted_sizes: tuple[int, ...], n: int) -> float:
-    return correction_relaxed_bits(sorted_sizes, n)
-
-
 def score_samples(spec: SyntheticSpec, cells, estimators):
     """Score every subset of two or more variables on each sample.
 
@@ -280,7 +275,7 @@ def score_samples(spec: SyntheticSpec, cells, estimators):
         )
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         bits = {"plugin": 0.0, "relaxed": np.array([
-            _relaxed_bits(tuple(sizes[i][sizes[i] > 0].tolist()), int(n[i // len(subsets)]))
+            correction_relaxed_bits(sizes[i][sizes[i] > 0].tolist(), int(n[i // len(subsets)]))
             for i in first
         ])[inverse].reshape(rows, len(subsets))}
         oracles = [est for est in ("upper", "exact") if est in estimators]

@@ -93,6 +93,32 @@ class TestEntropy:
         # the scorer passes a transposed view, which is not in C order
         assert np.array_equal(entropy(np.asfortranarray(batch), n), got)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3000),
+        parent_domain=st.integers(1, 60),
+        domain=st.integers(1, 5),
+        changed=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_refinement_never_lowers_entropy(self, seed, n, parent_domain, domain,
+                                             changed):
+        # branch_and_bound scores a child at its parent's joint entropy to
+        # decide whether to refine it: that is an upper estimate only if no
+        # refinement lowers the computed entropy, to the bit. An attribute
+        # that differs on ``changed`` rows alone splits cells the least
+        rng = np.random.default_rng(seed)
+        cells = SimpleNamespace(codes=rng.integers(0, parent_domain, n),
+                                domain_size=parent_domain)
+        parent = refine_partition(RowPartition.trivial(n), cells)
+        codes = rng.integers(0, domain, n)
+        if changed is not None:
+            rows = rng.integers(0, n, changed)
+            codes = np.zeros(n, dtype=np.int64)
+            codes[rows] = rng.integers(0, domain, changed)
+        child = refine_partition(parent, SimpleNamespace(codes=codes, domain_size=domain))
+        assert entropy(child.cell_counts, n) >= entropy(parent.cell_counts, n)
+
     @pytest.mark.parametrize("outer, inner", [(10, 1000), (1000, 10)])
     def test_table_growth_between_reads_keeps_the_longer_table(self, outer, inner,
                                                                monkeypatch):
@@ -600,6 +626,15 @@ class TestCorrectionRelaxed:
         assert correction_relaxed_bits(sizes, n) == oracle_relaxed_correction_max(
             sizes, n
         )
+
+    def test_cache_keys_on_sorted_sizes_and_is_bounded(self):
+        # one cached value per (sizes sorted descending, n), whatever the
+        # order or type of the sizes given
+        want = estimators._relaxed_bits.__wrapped__((5, 3, 2), 40)
+        assert correction_relaxed_bits([2, 5, 3], 40) == want
+        assert correction_relaxed_bits(np.array([3, 2, 5]), 40) == want
+        assert correction_relaxed_bits((5, 3, 2), 41) != want
+        assert estimators._relaxed_bits.cache_info().maxsize is not None
 
 
 class TestOracleCorrections:

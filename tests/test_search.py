@@ -483,6 +483,25 @@ class TestAgainstBruteForce:
             assert score.corrected_score == pytest.approx(value, abs=1e-9)
             assert score.plugin_score == pytest.approx(plugin[members], abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_alpha_guarantee_at_every_rank(self, seed):
+        # wherever the exact rank-i score is positive, bnb's rank-i entry
+        # scores at least alpha times it: pruning at the k-th entry leans
+        # on every rank, not only the first
+        assert not oracle_library_calls()
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, d=int(rng.integers(4, 8)), n=int(rng.integers(8, 151)))
+        scores = brute_force_scores(ds)
+        for k in (3, 7):
+            exact = [value for _, value in brute_force_topk(scores, k)]
+            for alpha in (0.9, 0.7, 0.4):
+                store, _ = branch_and_bound(ds, k=k, alpha=alpha)
+                got = [value for _, value, _ in store.results]
+                assert len(got) == len(exact)
+                for value, best in zip(got, exact):
+                    if best > 0.0:
+                        assert value >= alpha * best - 1e-9
+
     @given(ds=small_tables(), k=st.integers(1, 4))
     @settings(max_examples=80, deadline=None)
     def test_exhaustive_and_bnb_match_oracle(self, ds, k):
@@ -493,14 +512,87 @@ class TestAgainstBruteForce:
         assert ranked(store) == ranked(oracle)
 
 
+class TestSkipEstimates:
+    """bnb prunes a child unrefined where the store refuses its score and
+    bound at its parent's joint entropy. That needs both to be at least the
+    child's own, on every child it may visit: here every subset."""
+
+    @staticmethod
+    def check(ds):
+        ctx, nodes = all_nodes(ds)
+        nodes[()] = SearchNode((), score_zero())
+        for members, child in nodes.items():
+            if not members:
+                continue
+            parent = nodes[members[:-1]].score
+            parts = estimators.extend_parts(ds, parent, ctx.order[members[-1]])
+            assert parts.score(child.score.joint_entropy) == child.score
+            estimate = SearchNode(members, parts.score(parent.joint_entropy))
+            assert estimate.score.corrected_score >= child.score.corrected_score
+            assert bound_ref(estimate, ctx) >= bound_ref(child, ctx)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        self.check(random_dataset(rng, d=7, n=int(rng.integers(5, 400))))
+
+    def test_tictactoe_with_constant_columns(self, ttt):
+        self.check(with_constant_columns(ttt))
+
+    @given(ds=small_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_small_tables(self, ds):
+        self.check(ds)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.7, 0.4])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_skipped_children_would_be_pruned_when_scored(self, seed, k, alpha,
+                                                          monkeypatch):
+        # a child is counted without a store only when bnb skips it, and is
+        # then its estimate. Scored from scratch, it scores and bounds no
+        # higher, and the store at that moment refuses it and, below the
+        # last rank, alpha times its bound. A constant column leaves the
+        # joint entropy as it was, so there the estimate is exact
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, d=int(rng.integers(4, 8)), n=int(rng.integers(5, 300)))
+        if seed % 2:
+            ds = with_constant_columns(ds)
+        ctx, stores, skipped = SearchContext(ds), [], []
+
+        class Recording(TopKStore):
+            def __init__(self, k):
+                super().__init__(k)
+                stores.append(self)
+
+        count = SearchStats.count
+
+        def checked(stats, child, store=None):
+            if store is None:
+                skipped.append(child.members)
+                real = SearchNode(child.members, score_subset(ds, child.score.members))
+                assert child.score.corrected_score >= real.score.corrected_score
+                assert bound_ref(child, ctx) >= bound_ref(real, ctx)
+                assert not stores[0].admits(real.score.corrected_score, child.members)
+                if child.last_index < ds.d - 1:
+                    assert not stores[0].admits(alpha * bound_ref(real, ctx), child.members)
+            count(stats, child, store)
+
+        monkeypatch.setattr(search, "TopKStore", Recording)
+        monkeypatch.setattr(SearchStats, "count", checked)
+        branch_and_bound(ds, k=k, alpha=alpha)
+        assert len(stores) == 1
+
+
 def counted(fn, *args, **kwargs):
     """fn's result and how often it called ``refine_partition`` (a child's
-    in ``search._children``, a rebuild's from the root in ``search``, a
-    chain's in ``score_subset``), renumbered a partition's rows
-    (``estimators._number``), expanded a search node and pushed onto a
-    heap, and how many of its refinements had a parent that the label
-    contract says must be renumbered first (``compact``)."""
-    counts = {"refine": 0, "number": 0, "expand": 0, "push": 0, "compact": 0}
+    in ``search``, a rebuild's from the root in ``search``, a chain's in
+    ``score_subset``), renumbered a partition's rows
+    (``estimators._number``), expanded a node in ``search._children``,
+    pushed onto and popped from a heap, and how many of its refinements had
+    a parent that the label contract says must be renumbered first
+    (``compact``)."""
+    counts = {"refine": 0, "number": 0, "expand": 0, "push": 0, "pop": 0, "compact": 0}
 
     def counting(name, f):
         def call(*a, **kw):
@@ -520,6 +612,7 @@ def counted(fn, *args, **kwargs):
         mp.setattr(estimators, "_number", counting("number", estimators._number))
         mp.setattr(search, "_children", counting("expand", search._children))
         mp.setattr(heapq, "heappush", counting("push", heapq.heappush))
+        mp.setattr(heapq, "heappop", counting("pop", heapq.heappop))
         return fn(*args, **kwargs), counts
 
 
@@ -531,16 +624,17 @@ def refinements_of(search_fn, ds, k):
 
 class TestRefinementCounts:
     """Each search refines once per child it scores, plus the greedy's
-    d - 1 singletons; a hidden rebuild from the root breaks the count."""
+    d - 1 singletons; a hidden rebuild from the root breaks the count. bnb
+    scores only the children that its estimates do not prune."""
 
     def check(self, ds, k):
         (_, stats), greedy_refines = refinements_of(greedy, ds, k)
         assert greedy_refines == (ds.d - 1) + stats.nodes_explored
         assert refinements_of(exhaustive_topk, ds, k)[1] == 2**ds.d - 1
         # bnb keeps each queued child's partition, so the root is its only
-        # explored node that is not refined from a parent
+        # explored node that is not refined from a parent, or skipped
         (_, stats), bnb_refines = refinements_of(branch_and_bound, ds, k)
-        assert bnb_refines == stats.nodes_explored - 1
+        assert bnb_refines <= stats.nodes_explored - 1
 
     @given(ds=small_tables(), k=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -550,6 +644,19 @@ class TestRefinementCounts:
     @pytest.mark.parametrize("d", [3, 6, 9])
     def test_seeded_tables(self, d):
         self.check(random_dataset(np.random.default_rng(31 + d), d=d, n=60), 3)
+
+    def bnb_counts(self, ds, k):
+        (_, stats), refines = refinements_of(branch_and_bound, ds, k)
+        return stats.nodes_explored, stats.nodes_pruned, refines
+
+    def test_bnb_skips_children_on_tictactoe(self, ttt):
+        # 914 refinements when every explored child was scored
+        assert self.bnb_counts(ttt, 9) == (915, 93, 774)
+
+    def test_bnb_skips_children_on_a_random_table(self):
+        # 1,969 refinements when every explored child was scored
+        ds = random_dataset(np.random.default_rng(0), 12, 2000)
+        assert self.bnb_counts(ds, 5) == (1970, 752, 1251)
 
 
 class TestNumberingCounts:
@@ -574,7 +681,9 @@ class TestNumberingCounts:
 
         monkeypatch.setattr(search, "TopKStore", Recording)
         (_, stats), counts = counted(branch_and_bound, ds, k=3, alpha=alpha)
-        assert counts["refine"] == stats.nodes_explored - 1
+        # only scored children are offered; a child pruned on its estimates
+        # is neither refined nor offered
+        assert counts["refine"] <= stats.nodes_explored - 1
         # a passing child is pushed at once; one that a later sibling beats
         # waits in the heap until the cutoff prunes it
         assert 0 < counts["push"] == sum(passed) < counts["refine"]
@@ -632,21 +741,22 @@ class TestPartitionStore:
     @pytest.mark.parametrize("d", [3, 6, 9])
     def test_cap_changes_only_refinements(self, d, cap, monkeypatch):
         ds = random_dataset(np.random.default_rng(47 + d), d=d, n=60)
-        (store, stats), stored_refines = refinements_of(branch_and_bound, ds, 3)
-        popped = []
-        children = search._children
+        (store, stats), stored = counted(branch_and_bound, ds, k=3)
+        rebuilt = []  # the depth of each node rebuilt from the root
+        partition_of = SearchContext.partition_of
         monkeypatch.setattr(search, "PARTITION_STORE_BYTES", cap)
-        monkeypatch.setattr(search, "_children", lambda ctx, node, part: (
-            popped.append(node.depth) or children(ctx, node, part)))
-        (capped, capped_stats), capped_refines = refinements_of(branch_and_bound, ds, 3)
+        monkeypatch.setattr(SearchContext, "partition_of", lambda ctx, ranks: (
+            rebuilt.append(len(ranks)) or partition_of(ctx, ranks)))
+        (capped, capped_stats), capped_counts = counted(branch_and_bound, ds, k=3)
         assert capped.results == store.results
         assert capped_stats == stats
+        # the same children are refined, and a rebuild refines once per member
+        assert capped_counts["refine"] == stored["refine"] + sum(rebuilt)
         # with no store every popped node is rebuilt from the root
-        rebuilds = stats.nodes_explored - 1 + sum(popped)
         if cap == 0:
-            assert capped_refines == rebuilds
+            assert len(rebuilt) == capped_counts["pop"] == stored["pop"]
         else:
-            assert stored_refines <= capped_refines <= rebuilds
+            assert len(rebuilt) <= capped_counts["pop"]
 
     @pytest.mark.parametrize("table", ["ttt", "ttt_with_constants"])
     def test_queued_partitions_hold_no_counts(self, ttt, table, monkeypatch):
