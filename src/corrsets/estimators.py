@@ -294,6 +294,8 @@ def correction_relaxed_bits(domain_sizes, n: int) -> float:
 
 @lru_cache(maxsize=4096)
 def _relaxed_bits(sizes: tuple[int, ...], n: int) -> float:
+    """correction_relaxed_bits of domain sizes already sorted in decreasing
+    order, as a tuple: the cache's key."""
     if len(sizes) < 2:
         return 0.0
     total = 0.0

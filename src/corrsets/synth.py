@@ -25,6 +25,7 @@ from .estimators import (
     ORACLE_MAX_MEMBERS,
     RowPartition,
     _max_correction_bits,
+    _relaxed_bits,
     correction_relaxed_bits,
     entropy,
     refine_partition,
@@ -266,7 +267,8 @@ def score_samples(spec: SyntheticSpec, cells, estimators):
         entropy_sum = np.cumsum(np.maximum(hs, 0.0), axis=2)[..., -1]
         total = entropy_sum - np.stack([h[s] for s in subsets], axis=1)
         norm = entropy_sum - hs[..., 0]
-        # one relaxed correction per distinct (sorted domain sizes, n)
+        # one relaxed correction per distinct (sorted domain sizes, n), read
+        # from correction_relaxed_bits' cache without re-sorting its key
         sizes = np.where(member, np.stack([d[a] for a in range(m)], 1)[:, None], 0)
         sizes = np.sort(sizes, axis=2).reshape(-1, m)
         keys = np.ravel_multi_index(
@@ -275,7 +277,7 @@ def score_samples(spec: SyntheticSpec, cells, estimators):
         )
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         bits = {"plugin": 0.0, "relaxed": np.array([
-            correction_relaxed_bits(sizes[i][sizes[i] > 0].tolist(), int(n[i // len(subsets)]))
+            _relaxed_bits(tuple(sizes[i][sizes[i] > 0][::-1].tolist()), int(n[i // len(subsets)]))
             for i in first
         ])[inverse].reshape(rows, len(subsets))}
         oracles = [est for est in ("upper", "exact") if est in estimators]

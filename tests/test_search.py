@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import math
@@ -546,19 +547,26 @@ class TestSkipEstimates:
 
     @pytest.mark.parametrize("alpha", [1.0, 0.7, 0.4])
     @pytest.mark.parametrize("k", [1, 3, 7])
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(12))
     def test_skipped_children_would_be_pruned_when_scored(self, seed, k, alpha,
                                                           monkeypatch):
         # a child is counted without a store only when bnb skips it, and is
-        # then its estimate. Scored from scratch, it scores and bounds no
-        # higher, and the store at that moment refuses it and, below the
-        # last rank, alpha times its bound. A constant column leaves the
-        # joint entropy as it was, so there the estimate is exact
+        # then its estimate. Scored from its own partition, it scores and
+        # bounds no higher, and the store at that moment refuses it and,
+        # below the last rank, alpha times its bound. A constant or copied
+        # column leaves the joint entropy as it was, so there the estimate
+        # is exact, and small tables tie many scores and bounds
         rng = np.random.default_rng(seed)
-        ds = random_dataset(rng, d=int(rng.integers(4, 8)), n=int(rng.integers(5, 300)))
-        if seed % 2:
-            ds = with_constant_columns(ds)
-        ctx, stores, skipped = SearchContext(ds), [], []
+        if seed % 3 == 2:
+            d, n = int(rng.integers(4, 8)), int(rng.integers(2, 16))
+            cols = [rng.integers(0, rng.integers(1, 4), n) for _ in range(d)]
+            cols[-1] = cols[0].copy()
+            ds = EncodedDataset.from_codes([f"A{j}" for j in range(d)], cols, n)
+        else:
+            ds = random_dataset(rng, d=int(rng.integers(4, 10)), n=int(rng.integers(5, 300)))
+            if seed % 3:
+                ds = with_constant_columns(ds)
+        (ctx, nodes), stores, skipped = all_nodes(ds), [], []
 
         class Recording(TopKStore):
             def __init__(self, k):
@@ -570,7 +578,7 @@ class TestSkipEstimates:
         def checked(stats, child, store=None):
             if store is None:
                 skipped.append(child.members)
-                real = SearchNode(child.members, score_subset(ds, child.score.members))
+                real = nodes[child.members]
                 assert child.score.corrected_score >= real.score.corrected_score
                 assert bound_ref(child, ctx) >= bound_ref(real, ctx)
                 assert not stores[0].admits(real.score.corrected_score, child.members)
@@ -580,8 +588,39 @@ class TestSkipEstimates:
 
         monkeypatch.setattr(search, "TopKStore", Recording)
         monkeypatch.setattr(SearchStats, "count", checked)
-        branch_and_bound(ds, k=k, alpha=alpha)
+        (_, stats), counts = counted(branch_and_bound, ds, k=k, alpha=alpha)
         assert len(stores) == 1
+        # every explored child but the root is either refined or skipped
+        assert counts["refine"] + len(skipped) == stats.nodes_explored - 1
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_skipping_changes_no_result_or_stat(self, seed, monkeypatch):
+        # the reference bnb refines and scores every child, as bnb did before
+        # it bounded children first: each child's estimate scores infinity,
+        # which every store admits
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, d=int(rng.integers(3, 9)), n=int(rng.integers(5, 400)))
+        runs = [(k, alpha) for k in (1, 3, 7) for alpha in (1.0, 0.7, 0.4)]
+        skipping = [counted(branch_and_bound, ds, k=k, alpha=alpha) for k, alpha in runs]
+
+        class Unskippable:
+            def __init__(self, parts):
+                self.parts, self.estimated = parts, False
+
+            def score(self, joint_entropy):
+                score = self.parts.score(joint_entropy)
+                if self.estimated:
+                    return score
+                self.estimated = True
+                return dataclasses.replace(score, corrected_score=math.inf)
+
+        extend = search.extend_parts
+        monkeypatch.setattr(search, "extend_parts", lambda *a: Unskippable(extend(*a)))
+        for (k, alpha), ((store, stats), counts) in zip(runs, skipping):
+            (ref_store, ref_stats), ref_counts = counted(branch_and_bound, ds, k=k, alpha=alpha)
+            assert store.results == ref_store.results
+            assert stats == ref_stats
+            assert counts["refine"] <= ref_counts["refine"] == stats.nodes_explored - 1
 
 
 def counted(fn, *args, **kwargs):
