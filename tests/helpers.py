@@ -37,6 +37,35 @@ def src_env() -> dict[str, str]:
     return env
 
 
+def discover_like_csv(path, n=600, quote=False):
+    """A seeded table shaped like the benchmark's discover input: ID-like
+    and categorical text columns, numeric columns, and a few empty fields,
+    two near the top and one more every 30,000 rows. With ``quote``, the
+    header and every text field are quoted, as R's ``write.csv`` writes
+    them."""
+    rng = np.random.default_rng(7)
+    user = rng.integers(0, 120, n)
+    region = rng.integers(0, 6, n)
+    columns = {
+        "user_id": [f"u{v:04d}" for v in user],
+        "region": [f"reg_{'abcdef'[v]}" for v in region],
+        "channel": [f"cha_{'abcd'[(v * 7 + 3) % 4]}" for v in region],
+        "amount": [f"{v:.6f}" for v in rng.random(n) * 100 + region],
+        "score": [f"{v:.6f}" for v in rng.random(n) * 10],
+    }
+    columns["score"][5] = columns["region"][9] = ""
+    for row in range(30_000, n, 30_000):
+        columns["amount"][row] = ""
+    header = list(columns)
+    if quote:
+        header = [f'"{name}"' for name in header]
+        for name in ("user_id", "region", "channel"):
+            columns[name] = [f'"{v}"' for v in columns[name]]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*columns.values())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def random_dataset(rng: np.random.Generator, d: int, n: int,
                    max_domain: int = 4, dependent: bool = True) -> EncodedDataset:
     """Random categorical data, optionally with planted dependencies."""

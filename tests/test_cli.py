@@ -12,7 +12,7 @@ from corrsets import cli
 from corrsets import data as data_module
 from corrsets.cli import main
 from corrsets.search import SearchStats
-from helpers import src_env
+from helpers import discover_like_csv, src_env
 
 
 def strip_timing(path):
@@ -195,35 +195,6 @@ class TestDiscover:
         assert main(argv + [str(out1)]) == 0
         assert main(argv + [str(out2)]) == 0
         assert strip_timing(out1) == strip_timing(out2)
-
-
-def discover_like_csv(path, n=600, quote=False):
-    """A seeded table shaped like the benchmark's discover input: ID-like
-    and categorical text columns, numeric columns, and a few empty fields,
-    two near the top and one more every 30,000 rows. With ``quote``, the
-    header and every text field are quoted, as R's ``write.csv`` writes
-    them."""
-    rng = np.random.default_rng(7)
-    user = rng.integers(0, 120, n)
-    region = rng.integers(0, 6, n)
-    columns = {
-        "user_id": [f"u{v:04d}" for v in user],
-        "region": [f"reg_{'abcdef'[v]}" for v in region],
-        "channel": [f"cha_{'abcd'[(v * 7 + 3) % 4]}" for v in region],
-        "amount": [f"{v:.6f}" for v in rng.random(n) * 100 + region],
-        "score": [f"{v:.6f}" for v in rng.random(n) * 10],
-    }
-    columns["score"][5] = columns["region"][9] = ""
-    for row in range(30_000, n, 30_000):
-        columns["amount"][row] = ""
-    header = list(columns)
-    if quote:
-        header = [f'"{name}"' for name in header]
-        for name in ("user_id", "region", "channel"):
-            columns[name] = [f'"{v}"' for v in columns[name]]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*columns.values())]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
 
 
 @pytest.mark.parametrize("algo", ["greedy", "bnb"])
