@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import io
+import os
 import re
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -756,6 +759,13 @@ class TestEncode:
         with pytest.raises(DataError, match=r"column 'txt'.*'b'"):
             encode(table, numeric_cols=["num", "txt"])
 
+    @pytest.mark.parametrize("bins, error", [
+        (0, ValueError), (-3, ValueError), (2.5, TypeError), (None, TypeError)])
+    def test_bins_checked_without_a_numeric_column(self, ttt_table, bins, error):
+        for numeric_cols in ("auto", "none"):
+            with pytest.raises(error):
+                encode(ttt_table, bins=bins, numeric_cols=numeric_cols)
+
     def test_too_few_rows(self):
         table = RawTable(("a",), (("1",),), 1)
         with pytest.raises(DataError, match="n - 1"):
@@ -857,3 +867,104 @@ class TestEncode:
         ds = EncodedDataset.from_codes(["v"], [np.array([7, 3, 7, 100])], 4)
         assert ds.attributes[0].codes.tolist() == [1, 0, 1, 2]
         assert ds.attributes[0].domain_size == 3
+
+
+def attribute_bits(table, **kwargs):
+    """Everything ``encode`` gives, floats as their bits, or its error."""
+    try:
+        ds = encode(table, **kwargs)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    return ds.n, [(a.name, a.kind, a.non_finite, a.domain_size, a.codes.dtype,
+                   a.codes.tolist(), np.float64(a.entropy).view(np.int64).item(),
+                   None if a.bins is None else (a.bins.shape, a.bins.view(np.int64).tolist()))
+                  for a in ds.attributes]
+
+
+@contextlib.contextmanager
+def two_threads(helper_rows=0):
+    """Encode any table of ``helper_rows`` rows or more on two threads,
+    however many CPUs the process may use."""
+    with mock.patch.object(data_module, "_HELPER_ROWS", helper_rows), \
+            mock.patch.object(data_module, "_usable_cpus", lambda: 2):
+        yield
+
+
+class TestTwoThreads:
+    @given(
+        text=plain_csv_texts(),
+        named=st.lists(st.sampled_from(["c0", "c1", "c2", "c3"]), unique=True),
+        bins=st.integers(1, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_attributes_on_both_paths(self, text, named, bins):
+        table = parse_csv(text.encode())
+        named = [name for name in named if name in table.column_names]
+        for numeric_cols in ("auto", "none", named):
+            runs = []
+            for helper_rows in (0, 2**62):
+                with two_threads(helper_rows), mock.patch.object(
+                        data_module, "_map_on_two_threads",
+                        wraps=data_module._map_on_two_threads) as mapped:
+                    runs.append(attribute_bits(table, bins=bins, numeric_cols=numeric_cols))
+                assert mapped.called == (helper_rows == 0 and table.row_count >= 2)
+            assert runs[0] == runs[1]
+
+    def test_first_failing_column_is_raised(self):
+        # every column is named numeric and fails; column 0 waits until the
+        # other thread has failed on column 1, so a later column fails first
+        names = ("c0", "c1", "c2", "c3")
+        table = RawTable(names, tuple((f"bad{j}", "1", "2") for j in range(4)), 3)
+        floats, failed, order = data_module._floats, threading.Event(), []
+
+        def held(column, name):
+            if name == "c0":
+                assert failed.wait(timeout=10)
+            try:
+                return floats(column, name)
+            finally:
+                order.append(name)
+                if name == "c1":
+                    failed.set()
+
+        with two_threads(), mock.patch.object(data_module, "_floats", held):
+            with pytest.raises(DataError, match="column 'c0': non-numeric value 'bad0'"):
+                encode(table, numeric_cols=list(names))
+        assert order[0] == "c1" and sorted(order) == list(names)
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_no_thread_outlives_encode(self, ttt_table):
+        before = threading.active_count()
+        with two_threads():
+            assert encode(ttt_table).d == 10
+            assert threading.active_count() == before
+            with pytest.raises(DataError, match="column 'top-left'"):
+                encode(ttt_table, numeric_cols=["top-left", "class"])
+            assert threading.active_count() == before
+
+    def test_concurrent_encodes(self, ttt_table):
+        # four callers with a helper each, switching threads every microsecond
+        table = RawTable(tuple(f"c{j}" for j in range(40)), ttt_table.columns * 4,
+                         ttt_table.row_count)
+        expected = attribute_bits(table)
+        got = [None] * 4
+
+        def run(i):
+            got[i] = attribute_bits(table)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with two_threads():
+                callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [expected] * 4
+
+    def test_usable_cpus(self):
+        assert 1 <= data_module._usable_cpus() <= (os.cpu_count() or 1)
