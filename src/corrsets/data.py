@@ -636,12 +636,17 @@ def _first_occurrence_codes(column: _ByteTokens) -> np.ndarray:
 
 # Tables of at least this many rows encode their columns on two threads, the
 # caller and one helper, where the process may use more than one CPU: the
-# sorts, gathers and ufuncs of a column release the GIL. Timed on a 2-core
-# x86 host with a 4-column table (two text, two numeric), the helper costs
-# about 1 ms per encode at 50-5,000 rows in thread start and GIL hand-offs,
-# breaks even near 20,000 rows and is 12% faster at 50,000 rows, 31% at
-# 200,000. A second helper gained less and took more memory: each new thread
-# gets its own malloc arena, which keeps the blocks that thread frees.
+# sorts, gathers and ufuncs of a column release the GIL. Timed in-process on
+# a 2-core x86 host, helper forced on against off in alternated runs, with a
+# 4-column table (two text, two numeric; medians): the helper costs 0.8 ms
+# at 50 rows (2.0 against 1.3 ms) and 1.0 ms at 5,000, and is 8% faster at
+# 20,000 rows, 29% at 50,000 and 34% at 200,000. The benchmark has no
+# workload below this size; without the gate the data and CLI tests take
+# 25 s instead of 18. On one CPU, the seed-3 csv-discover input (100,000 x
+# 16) encodes 2-6 ms slower with the helper (median of 30-40 runs, each of
+# 100-140 ms) and peaks at 75 MB RSS instead of 65: the helper's malloc
+# arena, which keeps the blocks that thread frees, and no time won. That
+# arena is also why there is one helper: a second gained less for more.
 _HELPER_ROWS = 1 << 15
 
 
@@ -656,10 +661,17 @@ def _usable_cpus() -> int:
 def _map_on_two_threads(function, count: int) -> list:
     """``[function(i) for i in range(count)]``, computed by the calling
     thread and one helper, each taking the next index from a shared
-    iterator. Every index is computed, and the exception of the first index
-    that failed is raised, so the result or error is the loop's."""
+    iterator. Once an index fails, or the caller is interrupted, no further
+    index is handed out; every lower index was handed out before it, so
+    the exception raised is that of the first index that failed, as in the
+    loop."""
     results, errors = [None] * count, [None] * count
     indexes, lock = iter(range(count)), threading.Lock()
+
+    def stop():
+        with lock:
+            for _ in indexes:  # hand out no further index
+                pass
 
     def drain():
         while True:
@@ -671,11 +683,15 @@ def _map_on_two_threads(function, count: int) -> list:
                 results[i] = function(i)
             except Exception as exc:  # raised in column order once both are done
                 errors[i] = exc
+                stop()
 
     helper = threading.Thread(target=drain, name="corrsets-encode")
     helper.start()
     try:
         drain()
+    except BaseException:  # Ctrl-C: the helper ends with the column it holds
+        stop()
+        raise
     finally:
         helper.join()
     for exc in errors:

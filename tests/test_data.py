@@ -890,6 +890,18 @@ def two_threads(helper_rows=0):
         yield
 
 
+class LateHelper(threading.Thread):
+    """A helper thread that starts only when the caller joins it, after the
+    caller has taken every index that it will take."""
+
+    def start(self):
+        pass
+
+    def join(self, timeout=None):
+        super().start()
+        super().join(timeout)
+
+
 class TestTwoThreads:
     @given(
         text=plain_csv_texts(),
@@ -930,7 +942,29 @@ class TestTwoThreads:
         with two_threads(), mock.patch.object(data_module, "_floats", held):
             with pytest.raises(DataError, match="column 'c0': non-numeric value 'bad0'"):
                 encode(table, numeric_cols=list(names))
-        assert order[0] == "c1" and sorted(order) == list(names)
+        assert order == ["c1", "c0"]  # no column is handed out after c1 fails
+
+    @pytest.mark.parametrize("failure", [DataError, KeyboardInterrupt])
+    def test_no_column_after_a_failure(self, failure):
+        # the caller fails on column 0 before the helper starts: the loop
+        # would stop there, and so must both threads
+        names = ("c0", "c1", "c2", "c3")
+        table = RawTable(names, tuple(("1", "2", "3") for _ in names), 3)
+        floats, calls = data_module._floats, []
+
+        def failing(column, name):
+            calls.append(name)
+            if name == "c0":
+                raise failure("column 'c0' fails")
+            return floats(column, name)
+
+        before = threading.active_count()
+        with two_threads(), mock.patch.object(data_module, "_floats", failing), \
+                mock.patch.object(threading, "Thread", LateHelper):
+            with pytest.raises(failure, match="'c0' fails"):
+                encode(table, numeric_cols=list(names))
+        assert calls == ["c0"]
+        assert threading.active_count() == before
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_no_thread_outlives_encode(self, ttt_table):
@@ -966,5 +1000,16 @@ class TestTwoThreads:
         assert not any(caller.is_alive() for caller in callers)
         assert got == [expected] * 4
 
-    def test_usable_cpus(self):
-        assert 1 <= data_module._usable_cpus() <= (os.cpu_count() or 1)
+    def test_helper_needs_two_cpus(self, ttt_table):
+        # the CPU half of the gate as this process finds it; CI runs this
+        # test under taskset -c 0 too, where the helper must not start
+        cpus = data_module._usable_cpus()
+        if hasattr(os, "sched_getaffinity"):
+            assert cpus == len(os.sched_getaffinity(0))
+        assert 1 <= cpus <= (os.cpu_count() or 1)
+        expected = attribute_bits(ttt_table)
+        with mock.patch.object(data_module, "_HELPER_ROWS", ttt_table.row_count), \
+                mock.patch.object(data_module, "_map_on_two_threads",
+                                  wraps=data_module._map_on_two_threads) as mapped:
+            assert attribute_bits(ttt_table) == expected
+        assert mapped.called == (cpus > 1)
