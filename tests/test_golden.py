@@ -1,8 +1,9 @@
 """Golden reports: the determinism contract checked against committed files.
 
 Each case runs one command line through ``corrsets.cli.main`` and
-compares its exit code, its standard output and error, and its ``--json``
-report with the file of the same name under ``tests/golden/``. The inputs
+compares its exit code, its standard output and error, its ``--json``
+report and the text of any regret TSV it writes with the file of the same
+name under ``tests/golden/``. The inputs
 are written by the test: the tic-tac-toe table, the same table with a
 constant text column before it and a constant number after it, and a
 seeded table shaped like the benchmark's discover input, whose numeric
@@ -47,6 +48,11 @@ CASES = {
     "discover-like-bnb-k5": LIKE,
     "discover-like-greedy-k5": [*LIKE, "--algo", "greedy"],
     "chance": ["chance"],
+    # the [0.95, 1.0) band is skipped at both d: stderr pins the warnings
+    "regret": ["regret", "--dims", "2,3", "--bands", "0.1:0.2,0.95:1.0",
+               "--n-grid", "10,20", "--trials", "3",
+               "--estimators", "plugin,relaxed,upper,exact,population",
+               "--max-attempts", "2000"],
 }
 
 
@@ -61,19 +67,24 @@ def write_inputs(ttt_csv, directory):
 
 def run_case(argv, capsys) -> dict:
     """The exit code, outputs and report of one command line, run in the
-    current directory."""
+    current directory, and the text of each regret TSV it wrote there."""
     code = main(argv + ["--json", "report.json"])
     captured = capsys.readouterr()
     with open("report.json", encoding="utf-8") as fh:
         report = json.load(fh)
     report.pop("timing", None)  # score writes none
-    return {
+    got = {
         "argv": argv,
         "exit": code,
         "stdout": re.sub(r"time \d+\.\d+s", "time <masked>s", captured.out),
         "stderr": captured.err,
         "report": report,
     }
+    tsvs = {p.name: p.read_text(encoding="utf-8")
+            for p in sorted(Path().glob("regret_*.tsv"))}
+    if tsvs:
+        got["tsv"] = tsvs
+    return got
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
