@@ -47,7 +47,6 @@ __all__ = [
     "correction_relaxed_bits",
     "assemble_score",
     "extend_parts",
-    "relaxed_score",
     "score_subset",
 ]
 
@@ -409,10 +408,11 @@ def assemble_score(
 
 
 class ScoreParts(NamedTuple):
-    """The parts of a subset's relaxed score that need no partition:
-    ``members`` (attribute indices), the sum and the largest of their
-    entropies, and the relaxed correction in bits, which is 0 where the
-    normalizer is."""
+    """The parts of a subset's score that need no partition: ``members``
+    (attribute indices), the sum and the largest of their entropies, and
+    the correction in bits, which is 0 where the normalizer is. The bits
+    are the relaxed bits from :func:`extend_parts`, or the bits that
+    :func:`score_subset` puts in their place for another estimator."""
 
     members: tuple[int, ...]
     entropy_sum: float
@@ -423,9 +423,6 @@ class ScoreParts(NamedTuple):
         """The score of these members at the given joint entropy."""
         return assemble_score(self.members, self.entropy_sum, self.entropy_max,
                               joint_entropy, self.correction_bits)
-
-
-_NO_PARTS = ScoreParts((), 0.0, 0.0, 0.0)
 
 
 def extend_parts(dataset, parent, i: int) -> ScoreParts:
@@ -445,15 +442,6 @@ def extend_parts(dataset, parent, i: int) -> ScoreParts:
     return ScoreParts(members, entropy_sum, entropy_max, bits)
 
 
-def relaxed_score(dataset, members, partition: RowPartition) -> SubsetScore:
-    """The relaxed score of the subset ``members`` (attribute indices) whose
-    cells are ``partition``. Its parts are extended one member at a time in
-    the order given, so every caller that passes members in
-    decreasing-entropy order gets the same bits."""
-    parts = reduce(partial(extend_parts, dataset), members, _NO_PARTS)
-    return parts.score(entropy(partition.cell_counts, dataset.n))
-
-
 def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
     """Score one attribute subset of a dataset with the chosen estimator.
 
@@ -461,9 +449,11 @@ def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
     production estimator), or the oracle variants ``upper`` / ``exact``
     (restricted to 8 members), whose correction is the maximum over member
     orderings of the summed :func:`m0_upper` or
-    :func:`expected_mi_permutation` steps. A zero normalizer gives a
-    correction and scores of 0 under every estimator. The result does not
-    depend on the input order of ``members``.
+    :func:`expected_mi_permutation` steps: they replace only the relaxed
+    correction bits of the parts, which are extended as the searches
+    extend them. A zero normalizer gives a correction and scores of 0
+    under every estimator. The result does not depend on the input order
+    of ``members``.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
@@ -472,10 +462,8 @@ def score_subset(dataset, members, estimator: str = "relaxed") -> SubsetScore:
         raise ValueError(f"oracle correction limited to {ORACLE_MAX_MEMBERS} members")
     part = reduce(refine_partition, (dataset.attributes[i] for i in ordered),
                   RowPartition.trivial(dataset.n))
-    score = relaxed_score(dataset, ordered, part)
-    if estimator == "relaxed" or score.normalizer <= 0.0:
-        return score
-    bits = (0.0 if estimator == "plugin" else
-            _max_correction_bits(dataset, estimator)(frozenset(ordered)))
-    return assemble_score(score.members, score.entropy_sum, score.entropy_max,
-                          score.joint_entropy, bits)
+    parts = reduce(partial(extend_parts, dataset), ordered, ScoreParts((), 0.0, 0.0, 0.0))
+    if estimator != "relaxed" and parts.entropy_sum > parts.entropy_max:
+        parts = parts._replace(correction_bits=0.0 if estimator == "plugin" else
+                               _max_correction_bits(dataset, estimator)(frozenset(ordered)))
+    return parts.score(entropy(part.cell_counts, dataset.n))

@@ -25,7 +25,6 @@ from .estimators import (
     ORACLE_MAX_MEMBERS,
     RowPartition,
     _max_correction_bits,
-    _relaxed_bits,
     correction_relaxed_bits,
     entropy,
     refine_partition,
@@ -267,8 +266,7 @@ def score_samples(spec: SyntheticSpec, cells, estimators):
         entropy_sum = np.cumsum(np.maximum(hs, 0.0), axis=2)[..., -1]
         total = entropy_sum - np.stack([h[s] for s in subsets], axis=1)
         norm = entropy_sum - hs[..., 0]
-        # one relaxed correction per distinct (sorted domain sizes, n), read
-        # from correction_relaxed_bits' cache without re-sorting its key
+        # one relaxed correction per distinct (sorted domain sizes, n)
         sizes = np.where(member, np.stack([d[a] for a in range(m)], 1)[:, None], 0)
         sizes = np.sort(sizes, axis=2).reshape(-1, m)
         keys = np.ravel_multi_index(
@@ -277,7 +275,7 @@ def score_samples(spec: SyntheticSpec, cells, estimators):
         )
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         bits = {"plugin": 0.0, "relaxed": np.array([
-            _relaxed_bits(tuple(sizes[i][sizes[i] > 0][::-1].tolist()), int(n[i // len(subsets)]))
+            correction_relaxed_bits(sizes[i][sizes[i] > 0].tolist(), int(n[i // len(subsets)]))
             for i in first
         ])[inverse].reshape(rows, len(subsets))}
         oracles = [est for est in ("upper", "exact") if est in estimators]
@@ -385,7 +383,7 @@ def chance_demo(
         if i:
             plugin_bits = entropy_sum - entropy(part.cell_counts, n)
             sizes = [a.domain_size for a in dataset.attributes[:i + 1]]
-            # corrected even at a zero normalizer, where relaxed_score takes none
+            # corrected even at a zero normalizer, where extend_parts takes none
             records.append(ChanceRecord(
                 i + 1, plugin_bits, plugin_bits - correction_relaxed_bits(sizes, n)))
     return records

@@ -473,8 +473,8 @@ class TestAgainstBruteForce:
     @given(ds=small_tables())
     @settings(max_examples=80, deadline=None)
     def test_score_subset_matches_oracle(self, ds):
-        # the searches and score_subset share one scoring function,
-        # relaxed_score, so their agreement alone cannot catch a fault in
+        # the searches and score_subset share one score builder,
+        # extend_parts, so their agreement alone cannot catch a fault in
         # it; the oracle calls no corrsets code
         assert not oracle_library_calls()
         corrected = brute_force_scores(ds)
