@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial, reduce
@@ -274,6 +275,8 @@ def m0_relaxed(log2_prefix_product: float, dnext: int, n: int) -> float:
         raise ValueError("need n >= 2")
     if log2_prefix_product < 0:
         raise ValueError("prefix product must be >= 1")
+    if dnext < 1:
+        raise ValueError("domain size must be >= 1")
     level = log2_prefix_product + math.log2(dnext)
     if level <= 63:
         return math.log2((n + 2.0**level) / (n - 1))
@@ -286,9 +289,14 @@ def correction_relaxed_bits(domain_sizes, n: int) -> float:
     The ordering that maximizes the sum puts domain sizes in decreasing
     order, so no enumeration over orderings is needed. The sum depends only
     on those sorted sizes and n, so each distinct pair is computed once and
-    kept in a bounded cache.
+    kept in a bounded cache. Sizes are read with ``operator.index``: a
+    float raises ``TypeError``, never truncated, and a size below 1
+    ``ValueError``.
     """
-    return _relaxed_bits(tuple(sorted(map(int, domain_sizes), reverse=True)), n)
+    sizes = tuple(sorted(map(operator.index, domain_sizes), reverse=True))
+    if sizes and sizes[-1] < 1:
+        raise ValueError("domain sizes must be >= 1")
+    return _relaxed_bits(sizes, n)
 
 
 @lru_cache(maxsize=4096)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -142,6 +143,7 @@ def sample_joint_in_band(
         raise ValueError("band must satisfy 0 <= a < b <= 1")
     if d < 2:
         raise ValueError("need at least 2 dependent variables")
+    max_attempts = operator.index(max_attempts)  # a float fails deep in rng.dirichlet
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     rng = np.random.default_rng(rng_seed)
@@ -326,6 +328,8 @@ def run_regret(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n_grid = [int(n) for n in n_grid]
+    if any(n < 2 for n in n_grid):
+        raise ValueError("sample sizes in n_grid must be >= 2")
     true_max = spec.true_max_w
     samples = {est: np.zeros((len(n_grid), trials)) for est in estimators}
     pairs = [(ni, j) for ni in range(len(n_grid)) for j in range(trials)]
@@ -368,8 +372,11 @@ def chance_demo(
     Along the chain of the first c variables (c = 2..d) the plug-in
     estimate keeps growing with cardinality although the population value
     is 0 everywhere; subtracting the relaxed correction keeps the estimate
-    near or below zero.
+    near or below zero. Needs d >= 2, domain >= 1 and n >= 2, as the
+    command line does.
     """
+    if d < 2 or domain < 1 or n < 2:
+        raise ValueError(f"need d >= 2, domain >= 1 and n >= 2, not {d}, {domain}, {n}")
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, domain, size=(n, d))
     dataset = EncodedDataset.from_codes(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from corrsets import estimators
 from corrsets.data import EncodedDataset
 from corrsets.estimators import (
+    ESTIMATORS,
     RowPartition,
     correction_relaxed_bits,
     entropy,
@@ -602,6 +604,8 @@ class TestM0Bounds:
             m0_relaxed(1.0, 2, 1)
         with pytest.raises(ValueError):
             m0_relaxed(-0.5, 2, 10)
+        with pytest.raises(ValueError, match="domain size must be >= 1"):
+            m0_relaxed(0.0, 0, 10)
 
 
 class TestCorrectionRelaxed:
@@ -635,6 +639,15 @@ class TestCorrectionRelaxed:
         assert correction_relaxed_bits(np.array([3, 2, 5]), 40) == want
         assert correction_relaxed_bits((5, 3, 2), 41) != want
         assert estimators._relaxed_bits.cache_info().maxsize is not None
+
+    def test_sizes_are_whole_numbers_from_one(self):
+        # a fractional size is refused, not truncated to the size below it
+        for sizes in ([2.5, 3], [3.9, 3], [3, np.float64(2.0)]):
+            with pytest.raises(TypeError, match="integer"):
+                correction_relaxed_bits(sizes, 10)
+        for sizes in ([0, 3], [3, 2, -1], [0]):
+            with pytest.raises(ValueError, match="domain sizes must be >= 1"):
+                correction_relaxed_bits(sizes, 10)
 
 
 class TestOracleCorrections:
@@ -733,15 +746,41 @@ class TestScoreSubset:
         score = score_subset(ds, [0, 1, 2])
         assert score.plugin_score == 1.0
 
-    def test_degenerate_normalizer_zero_score(self):
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_degenerate_normalizer_zero_score(self, estimator):
         ds = EncodedDataset.from_codes(
             ["x", "const"], [np.array([0, 1, 0, 1]), np.zeros(4, dtype=int)], 4
         )
-        score = score_subset(ds, [0, 1])
+        score = score_subset(ds, [0, 1], estimator)
         assert score.normalizer == 0.0
         assert (score.plugin_score, score.correction, score.corrected_score) == (
             0.0, 0.0, 0.0,
         )
+
+    def test_estimators_differ_only_in_the_correction(self):
+        # a random table with two constant columns among four varying ones:
+        # a subset with at most one varying member has a zero normalizer
+        rng = np.random.default_rng(5)
+        varying = [a.codes for a in random_dataset(rng, d=4, n=30).attributes]
+        const = np.zeros(30, dtype=int)
+        cols = [const, *varying[:2], const, *varying[2:]]
+        ds = EncodedDataset.from_codes([f"A{j}" for j in range(6)], cols, 30)
+        same = ("members", "entropy_sum", "entropy_max", "joint_entropy",
+                "total_correlation", "normalizer", "plugin_score")
+        degenerate = 0
+        for k in range(2, 7):
+            for members in itertools.combinations(range(6), k):
+                relaxed = score_subset(ds, members, "relaxed")
+                for estimator in ESTIMATORS:
+                    score = score_subset(ds, members, estimator)
+                    assert ([getattr(score, f) for f in same]
+                            == [getattr(relaxed, f) for f in same])
+                    if score.normalizer == 0.0:
+                        assert (score.correction, score.plugin_score,
+                                score.corrected_score) == (0.0, 0.0, 0.0)
+                degenerate += relaxed.normalizer == 0.0
+        # one varying column with one constant or both, and the two constants
+        assert degenerate == 4 * 2 + 4 + 1
 
     def test_invariant_identities(self):
         rng = np.random.default_rng(21)

@@ -1,6 +1,7 @@
 """The public names of corrsets resolve: a name left in an ``__all__`` after
-its definition is removed breaks ``from corrsets.<module> import *``. And no
-module imports a name it never uses."""
+its definition is removed breaks ``from corrsets.<module> import *``. No
+module imports a name it never uses, and no module takes another's private
+names beyond a fixed list."""
 
 import ast
 import importlib
@@ -58,6 +59,22 @@ def test_no_unused_imports(name):
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used |= set(ast.literal_eval(node.value))
     assert sorted(imported - used) == []
+
+
+# the private names one module takes from another, as (importer, name):
+# each couples the two modules, so the list only shrinks
+PRIVATE_IMPORTS = {("data", "_number"), ("synth", "_max_correction_bits")}
+
+
+def test_no_private_cross_imports():
+    found = set()
+    for name in SOURCES:
+        tree = ast.parse((SRC / name).read_text("utf-8"))
+        found |= {(name.removesuffix(".py"), a.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level
+                  for a in node.names
+                  if a.name.startswith("_") and not a.name.startswith("__")}
+    assert found == PRIVATE_IMPORTS
 
 
 def test_readme_example_runs(tmp_path, monkeypatch, capsys):

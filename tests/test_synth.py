@@ -136,6 +136,9 @@ class TestSampleJointInBand:
     def test_max_attempts_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
             sample_joint_in_band(2, (0.0, 1.0), rng_seed=0, max_attempts=0)
+        # read with operator.index, as the command line reads an int
+        with pytest.raises(TypeError, match="integer"):
+            sample_joint_in_band(2, (0.0, 1.0), rng_seed=0, max_attempts=2.5)
 
 
 @st.composite
@@ -274,6 +277,10 @@ class TestRunRegret:
             run_regret(spec, ["nope"], n_grid=[10], trials=1)
         with pytest.raises(ValueError, match="trials"):
             run_regret(spec, ["plugin"], n_grid=[10], trials=0)
+        # sample sizes need at least 2 rows, as on the command line
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="n_grid must be >= 2"):
+                run_regret(spec, ["plugin"], n_grid=[10, n], trials=1)
         # the size check runs before anything reads the population
         table = JointTable(dims=(2,) * 9, probs=np.full(2**9, 2.0**-9))
         big = SyntheticSpec(dependent=table, full_table=table, population={})
@@ -415,6 +422,12 @@ class TestChanceDemo:
             assert r.plugin_bits == pytest.approx(plugin, abs=1e-9)
             assert r.corrected_bits == pytest.approx(
                 r.plugin_bits - oracle_relaxed_correction_max(sizes, n), abs=1e-9)
+
+    def test_validations(self):
+        # the command line's rules: d >= 2, domain >= 1, n >= 2
+        for kwargs in ({"d": 1}, {"d": 0}, {"domain": 0}, {"n": 1}, {"n": 0}):
+            with pytest.raises(ValueError, match="need d >= 2, domain >= 1 and n >= 2"):
+                chance_demo(**kwargs)
 
     def test_plugin_grows_with_cardinality(self):
         records = chance_demo(seed=3)
