@@ -289,9 +289,8 @@ def correction_relaxed_bits(domain_sizes, n: int) -> float:
     The ordering that maximizes the sum puts domain sizes in decreasing
     order, so no enumeration over orderings is needed. The sum depends only
     on those sorted sizes and n, so each distinct pair is computed once and
-    kept in a bounded cache. Sizes are read with ``operator.index``: a
-    float raises ``TypeError``, never truncated, and a size below 1
-    ``ValueError``.
+    kept in a bounded cache. Sizes are read with ``operator.index`` and
+    must be at least 1.
     """
     sizes = tuple(sorted(map(operator.index, domain_sizes), reverse=True))
     if sizes and sizes[-1] < 1:

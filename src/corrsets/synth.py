@@ -372,8 +372,7 @@ def chance_demo(
     Along the chain of the first c variables (c = 2..d) the plug-in
     estimate keeps growing with cardinality although the population value
     is 0 everywhere; subtracting the relaxed correction keeps the estimate
-    near or below zero. Needs d >= 2, domain >= 1 and n >= 2, as the
-    command line does.
+    near or below zero.
     """
     if d < 2 or domain < 1 or n < 2:
         raise ValueError(f"need d >= 2, domain >= 1 and n >= 2, not {d}, {domain}, {n}")
