@@ -131,14 +131,12 @@ class RowPartition:
     ``cell_count``, the number of nonempty cells, can be far below
     ``labels``. ``cell_counts`` holds each cell's size in ascending label
     order. Refining by one attribute at a time makes this the incremental
-    carrier for joint entropies. ``cell_counts`` is None on a partition
-    that ``branch_and_bound`` keeps in its queue: it is only refined
-    further, never scored. ``cell_of_row`` is held in the narrowest
+    carrier for joint entropies. ``cell_of_row`` is held in the narrowest
     unsigned dtype that fits ``labels - 1``.
     """
 
     cell_of_row: np.ndarray
-    cell_counts: np.ndarray | None
+    cell_counts: np.ndarray
     cell_count: int
     labels: int
 

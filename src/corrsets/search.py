@@ -182,9 +182,9 @@ def bound_ref(node: SearchNode, ctx: SearchContext) -> float:
     return ratio - node.score.correction
 
 
-# Byte cap on the partitions that branch_and_bound keeps for queued
-# children. A child queued past it has its partition rebuilt from the root
-# when popped, so queue memory stays bounded at any n.
+# Byte cap on the row labels and cell counts of the partitions that
+# branch_and_bound keeps for queued children. A child queued past it is
+# rebuilt from the root when popped, so queue memory stays bounded at any n.
 PARTITION_STORE_BYTES = 64 * 2**20
 
 
@@ -210,10 +210,10 @@ def branch_and_bound(
     child is counted as explored (and pruned, below the last rank) without
     being refined or scored: its stats are the same as if it had been.
 
-    Each queued child keeps its partition's row labels (not its cell
-    counts), so a popped node is refined only into its children; past
-    ``PARTITION_STORE_BYTES`` of labels a child is queued without them and
-    rebuilt from the root when popped.
+    Each queued child keeps the partition it was refined into, so a popped
+    node is refined only into its children; past ``PARTITION_STORE_BYTES``
+    of queued labels and counts a child is queued without one and rebuilt
+    from the root when popped.
     """
     store = TopKStore(k)
     if not 0.0 < alpha <= 1.0:
@@ -227,7 +227,7 @@ def branch_and_bound(
     # heap entries (-potential, members, node, partition or None);
     # member tuples are unique so neither node nor partition is compared
     heap = [(-1.0, (), _ROOT, None)]
-    stored = 0  # bytes of the partitions' row labels in the heap
+    stored = 0  # bytes of the partitions' labels and counts in the heap
 
     def out_of_time() -> bool:
         if budget is not None and time.perf_counter() - started > budget:
@@ -244,7 +244,7 @@ def branch_and_bound(
         if part is None:
             part = ctx.partition_of(node.members)
         else:
-            stored -= part.cell_of_row.nbytes
+            stored -= part.cell_of_row.nbytes + part.cell_counts.nbytes
         # each child is pushed as soon as it passes; the k-th entry only
         # improves, so one that a later sibling beats is pruned at the
         # heap-top cutoff. The budget is checked after every child, so one
@@ -272,12 +272,11 @@ def branch_and_bound(
                     if not store.admits(alpha * potential, members):
                         stats.nodes_pruned += 1
                     else:
-                        cells = child_part.cell_of_row
+                        size = child_part.cell_of_row.nbytes + child_part.cell_counts.nbytes
                         queued = None  # rebuilt from the root when popped
-                        if stored + cells.nbytes <= PARTITION_STORE_BYTES:
-                            stored += cells.nbytes
-                            queued = RowPartition(cells, None, child_part.cell_count,
-                                                  child_part.labels)
+                        if stored + size <= PARTITION_STORE_BYTES:
+                            stored += size
+                            queued = child_part
                         heapq.heappush(heap, (-potential, members, child, queued))
                 del child_part  # not held while the next child is refined
             if out_of_time():

@@ -773,8 +773,9 @@ def with_constant_columns(ds):
 
 
 class TestPartitionStore:
-    """bnb carries each queued child's partition, narrow as refined, up to
-    a byte cap, and rebuilds it from the root past the cap."""
+    """bnb carries each queued child's partition, as refined, up to a cap
+    on its labels' and counts' bytes, and rebuilds it from the root past
+    the cap."""
 
     @pytest.mark.parametrize("cap", [0, 300])
     @pytest.mark.parametrize("d", [3, 6, 9])
@@ -798,15 +799,43 @@ class TestPartitionStore:
             assert len(rebuilt) <= capped_counts["pop"]
 
     @pytest.mark.parametrize("table", ["ttt", "ttt_with_constants"])
-    def test_queued_partitions_hold_no_counts(self, ttt, table, monkeypatch):
-        # a queued partition is only refined further, so a stray read of
-        # its counts fails instead of giving the entropy of no cells
+    def test_queued_partitions_are_the_refined_ones(self, ttt, table, monkeypatch):
+        # a child is pushed right after it is refined, with the partition
+        # that refine_partition returned for it, counts included
         ds = ttt if table == "ttt" else with_constant_columns(ttt)
+        refined, queued = [], []
+        refine, push = search.refine_partition, heapq.heappush
+        monkeypatch.setattr(search, "refine_partition",
+                            lambda *a: refined.append(refine(*a)) or refined[-1])
+        monkeypatch.setattr(search.heapq, "heappush", lambda heap, entry: (
+            queued.append((entry, refined[-1])) or push(heap, entry)))
+        branch_and_bound(ds, k=9)
+        assert queued
+        for (_, _, child, part), last in queued:
+            assert part is last
+            assert part.cell_count == len(part.cell_counts)
+            assert estimators.entropy(part.cell_counts, ds.n) == child.score.joint_entropy
+
+    def test_cap_counts_labels_and_counts(self, ttt, monkeypatch):
+        # a cap of the first queued child's label bytes does not hold its
+        # labels and counts, so that child is queued without a partition
+        # and rebuilt from the root when popped
         queued, push = [], heapq.heappush
         monkeypatch.setattr(search.heapq, "heappush",
-                            lambda heap, entry: queued.append(entry[-1]) or push(heap, entry))
-        branch_and_bound(ds, k=9)
-        assert queued and all(part.cell_counts is None for part in queued)
+                            lambda heap, entry: queued.append(entry) or push(heap, entry))
+        store, stats = branch_and_bound(ttt, k=9)
+        first = queued[0]
+        rebuilt, partition_of = [], SearchContext.partition_of
+        monkeypatch.setattr(search, "PARTITION_STORE_BYTES", first[-1].cell_of_row.nbytes)
+        monkeypatch.setattr(SearchContext, "partition_of", lambda ctx, ranks: (
+            rebuilt.append(tuple(ranks)) or partition_of(ctx, ranks)))
+        queued.clear()
+        capped, capped_stats = branch_and_bound(ttt, k=9)
+        assert capped.results == store.results
+        assert capped_stats == stats
+        assert queued[0][1] == first[1]
+        assert queued[0][-1] is None
+        assert first[1] in rebuilt
 
     @pytest.mark.parametrize("cell_count, dtype", [
         (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
