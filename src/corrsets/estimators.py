@@ -319,7 +319,7 @@ def order_attributes(dataset) -> list[int]:
 
 def _ordered_members(dataset, members) -> list[int]:
     """Validate member indices and put them in :func:`order_attributes` order."""
-    idx = list(members)
+    idx = list(map(operator.index, members))  # 1.5 would never match an index
     if len(set(idx)) != len(idx):
         raise ValueError("member indices must be distinct")
     if len(idx) < 2:

@@ -141,6 +141,7 @@ def sample_joint_in_band(
     a, b = band
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("band must satisfy 0 <= a < b <= 1")
+    d = operator.index(d)  # a float d fails deep in the table's shape
     if d < 2:
         raise ValueError("need at least 2 dependent variables")
     max_attempts = operator.index(max_attempts)  # a float fails deep in rng.dirichlet
@@ -325,9 +326,10 @@ def run_regret(
         if est not in REGRET_ESTIMATORS:
             raise ValueError(f"unknown estimator {est!r}")
     check_regret_size(spec.num_vars, estimators)
+    trials = operator.index(trials)  # a float fails deep in np.zeros
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [operator.index(n) for n in n_grid]  # int() would truncate 10.7
     if any(n < 2 for n in n_grid):
         raise ValueError("sample sizes in n_grid must be >= 2")
     true_max = spec.true_max_w
@@ -374,6 +376,7 @@ def chance_demo(
     is 0 everywhere; subtracting the relaxed correction keeps the estimate
     near or below zero.
     """
+    d, domain, n = map(operator.index, (d, domain, n))  # rng.integers truncates 2.5
     if d < 2 or domain < 1 or n < 2:
         raise ValueError(f"need d >= 2, domain >= 1 and n >= 2, not {d}, {domain}, {n}")
     rng = np.random.default_rng(seed)

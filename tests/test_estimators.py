@@ -828,6 +828,13 @@ class TestScoreSubset:
             score_subset(ds, [0, 7])
         with pytest.raises(ValueError):
             score_subset(ds, [0, 1], estimator="bogus")
+        # indices are read with operator.index: [0, 1.5] used to score (0,)
+        for members in ([0, 1.5], [0, 1.0, 2]):
+            with pytest.raises(TypeError, match="integer"):
+                score_subset(ds, members)
+        # numpy integers and bools are indices, as for k and bins
+        assert score_subset(ds, [np.int64(0), np.uint8(2)]) == score_subset(ds, [0, 2])
+        assert score_subset(ds, [True, 2]) == score_subset(ds, [1, 2])
 
     def test_estimator_variants_ordered(self):
         rng = np.random.default_rng(33)

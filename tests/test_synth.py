@@ -132,6 +132,9 @@ class TestSampleJointInBand:
     def test_dimension_validation(self):
         with pytest.raises(ValueError, match="at least 2 dependent"):
             sample_joint_in_band(1, (0.0, 1.0))
+        # read with operator.index: a float d would fail deep in numpy
+        with pytest.raises(TypeError, match="integer"):
+            sample_joint_in_band(2.5, (0.1, 0.5))
 
     def test_max_attempts_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
@@ -281,6 +284,12 @@ class TestRunRegret:
         for n in (1, 0):
             with pytest.raises(ValueError, match="n_grid must be >= 2"):
                 run_regret(spec, ["plugin"], n_grid=[10, n], trials=1)
+        # sizes and trials are read with operator.index: 10.7 used to run at
+        # n = 10, and 2.5 trials failed deep in numpy
+        with pytest.raises(TypeError, match="integer"):
+            run_regret(spec, ["plugin"], n_grid=[10.7], trials=2)
+        with pytest.raises(TypeError, match="integer"):
+            run_regret(spec, ["plugin"], n_grid=[10], trials=2.5)
         # the size check runs before anything reads the population
         table = JointTable(dims=(2,) * 9, probs=np.full(2**9, 2.0**-9))
         big = SyntheticSpec(dependent=table, full_table=table, population={})
@@ -427,6 +436,10 @@ class TestChanceDemo:
         # the command line's rules: d >= 2, domain >= 1, n >= 2
         for kwargs in ({"d": 1}, {"d": 0}, {"domain": 0}, {"n": 1}, {"n": 0}):
             with pytest.raises(ValueError, match="need d >= 2, domain >= 1 and n >= 2"):
+                chance_demo(**kwargs)
+        # read with operator.index: domain=2.5 used to run with a domain of 2
+        for kwargs in ({"domain": 2.5}, {"d": 2.5}, {"n": 100.5}):
+            with pytest.raises(TypeError, match="integer"):
                 chance_demo(**kwargs)
 
     def test_plugin_grows_with_cardinality(self):
