@@ -46,8 +46,8 @@ class ParseError(DataError):
 class RawTable:
     """Column-major text table. Every column is kept as UTF-8 byte spans and
     reads and compares as the tuple of its tokens; a sequence of ``str`` is
-    converted when the table is built. Any other token, or a column of
-    other than ``row_count`` tokens, is a DataError.
+    converted when the table is built. Any other token, a column of other
+    than ``row_count`` tokens, or a repeated column name is a DataError.
     ``rejected_rows`` counts rows dropped for containing empty fields
     (missing values are not imputed)."""
 
@@ -57,6 +57,7 @@ class RawTable:
     rejected_rows: int = 0
 
     def __post_init__(self):
+        _check_distinct(self.column_names)
         object.__setattr__(self, "columns", tuple(
             column if isinstance(column, _ByteTokens) else _ByteTokens.of(column, name)
             for name, column in zip(self.column_names, self.columns, strict=True)))
@@ -119,9 +120,10 @@ class EncodedDataset:
         """Build a dataset from raw integer code columns, compacting each
         column so codes are dense in [0, observed domain size). Each name
         needs one column of exactly ``n`` codes: integers, booleans, or
-        floats that are all whole numbers."""
+        floats that are all whole numbers. Names must be distinct."""
         if len(names) != len(code_columns):
             raise DataError(f"{len(names)} names for {len(code_columns)} columns")
+        _check_distinct(names)
         attrs = []
         for name, codes in zip(names, code_columns):
             codes = np.asarray(codes)
@@ -139,6 +141,15 @@ class EncodedDataset:
             codes = _number(offsets, int(offsets.max(initial=0)) + 1)
             attrs.append(_make_attribute(name, codes, n))
         return cls(attributes=tuple(attrs), n=n)
+
+
+def _check_distinct(names) -> None:
+    """Raise a DataError naming the first name that ``names`` repeats."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataError(f"duplicate column name {name!r}")
+        seen.add(name)
 
 
 def _make_attribute(name: str, codes: np.ndarray, n: int, **fields) -> Attribute:
@@ -164,6 +175,22 @@ def parse_csv(data: bytes | str, has_header: bool = True) -> RawTable:
 
 
 _CHUNK_BYTES = 1 << 20  # the plain path checks and tokenizes this much at a time
+# The plain path runs on two threads, the caller and one helper, where the
+# input has at least this many chunks and the process may use more than one
+# CPU: a chunk's compares, np.flatnonzero, gathers and copies release the
+# GIL. Timed in-process on a 2-core x86 host, helper on against off, on
+# inputs of the csv-discover generator (16 columns), one process per run,
+# medians of 6 alternated runs of 41 parses each: one chunk (0.60 MB) takes
+# 2.7 ms either way; two chunks of 1.07 MB (the second 0.02 MB) take 5.5
+# against 5.0 ms, 1.19 MB 5.1 against 4.8, 1.31 MB 5.2 against 5.6,
+# 1.55 MB 6.2 against 7.6, 2.08 MB 7.1 against 11.9; three chunks of 3.10
+# MB take 5.7 against 13.9 ms. So a second chunk of a quarter of
+# _CHUNK_BYTES pays; below that the helper costs up to 0.5 ms.
+_HELPER_CHUNKS = 2
+
+
+class _NotPlain(Exception):
+    """A check of ``_parse_plain`` failed: the input is left to ``_parse_reader``."""
 
 
 class _ByteTokens(Sequence):
@@ -391,13 +418,23 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
     many fields as the first, and no field longer than
     ``csv.field_size_limit()`` bytes. As in ``_parse_reader``, blank lines
     are skipped and rows with an empty field are dropped and counted. On
-    plain input the table equals the one ``_parse_reader`` gives. The bytes
-    are walked in chunks cut after a line feed: each is checked as UTF-8
-    (an ASCII chunk needs no decode), and its field separators are found
-    with one ``np.flatnonzero``. Each chunk's spans are written column by
-    column into (column, row) offset arrays, sized once from the count of
-    line feeds, so each column's spans are one contiguous run. Each column
-    is a ``_ByteTokens`` over the input's own bytes, which are not copied.
+    plain input the table equals the one ``_parse_reader`` gives.
+
+    The bytes are cut into chunks of about ``_CHUNK_BYTES``, each ending
+    after a line feed, and walked in two passes. The first counts each
+    chunk's line feeds: their running sum is the row where the chunk's first
+    line lands if no line is dropped, and their total sizes one
+    (starts or ends, column, row) offset array. The second checks each
+    chunk (as UTF-8, where it is not ASCII; a CR only in a CRLF; the field
+    size; the field count), finds its separators with one
+    ``np.flatnonzero``, and writes the spans of the rows it keeps column by
+    column from its own first row on. A chunk that dropped a blank line or
+    a row with an empty field leaves a gap after its rows; once every chunk
+    is done, the later chunks' rows are moved down over the gaps in order,
+    so each column's spans are one contiguous run. Both passes run on two
+    threads where the input has ``_HELPER_CHUNKS`` chunks and the process
+    may use more than one CPU; the table is the same. Each column is a
+    ``_ByteTokens`` over the input's own bytes, which are not copied.
     """
     if isinstance(data, str):
         try:
@@ -418,16 +455,37 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
         return None
     limit = csv.field_size_limit()
     offset = np.int32 if len(data) < 2**31 else np.int64
-    d = None
-    rows = width = rejected = 0
-    while start < stop:
-        end = data.find(b"\n", start + _CHUNK_BYTES, stop) + 1 or stop
+    cuts = [start]
+    while cuts[-1] < stop:
+        cuts.append(data.find(b"\n", cuts[-1] + _CHUNK_BYTES, stop) + 1 or stop)
+    chunks = len(cuts) - 1
+    threaded = chunks >= _HELPER_CHUNKS and _usable_cpus() > 1
+
+    def each(function) -> list:
+        """``function`` of every chunk's index, in order."""
+        if threaded:
+            return _map_on_two_threads(function, chunks)
+        return [function(i) for i in range(chunks)]
+
+    def line_feeds(i: int) -> int:
+        return np.count_nonzero(raw[cuts[i]:cuts[i + 1]] == ord("\n"))
+
+    firsts = np.cumsum([0] + each(line_feeds))  # the last chunk's last line has none
+    first_line = data.find(b"\n", start, stop)  # chunk 0 checks its field count
+    d = data.count(b",", start, stop if first_line < 0 else first_line) + 1
+    spans = np.empty((2, d, firsts[-1] + 1), dtype=offset)
+
+    def tokenize(i: int) -> tuple[int, int]:
+        """Check chunk i, write the spans of the rows it keeps from row
+        ``firsts[i]`` on, and return how many it kept and how many it
+        dropped for an empty field; raise _NotPlain where a check fails."""
+        start, end = cuts[i], cuts[i + 1]
         piece = data[start:end]
         if not piece.isascii():
             try:
                 piece.decode()
             except UnicodeDecodeError:
-                return None
+                raise _NotPlain from None
         chunk = raw[start:end]
         newline = chunk == ord("\n")
         seps = np.flatnonzero(newline | (chunk == ord(",")))
@@ -442,45 +500,49 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
             # (raw[-1], read for a first separator at 0, is no CR: checked above)
             cr_before = raw[seps - 1] == ord("\r")
             if piece.count(b"\r") != np.count_nonzero(cr_before & newline):
-                return None  # a bare CR, or one in a field
+                raise _NotPlain  # a bare CR, or one in a field
             ends = seps - cr_before
         lens = ends - starts
-        width = max(width, int(lens.max()))
-        if width > limit:
-            return None
+        if lens.max() > limit:
+            raise _NotPlain
         line_ends = np.flatnonzero(newline)
         fields = np.diff(line_ends, prepend=-1)
         blank = (fields == 1) & (lens[line_ends] == 0)
-        if d is None:
-            if blank[0]:
-                return None
-            d = int(fields[0])
-            if has_header:
-                names = tuple(data[s:e].decode() for s, e in zip(starts[:d], ends[:d]))
-                if len(set(names)) != d:
-                    return None  # duplicate names
-            # (starts or ends, column, row); a file holds no more rows than lines
-            spans = np.empty((2, d, np.count_nonzero(raw == ord("\n")) + 1), dtype=offset)
-        if ((fields != d) & ~blank).any():
-            return None
+        if ((fields != d) & ~blank).any() or (i == 0 and blank[0]):
+            raise _NotPlain
         if blank.any():  # csv skips blank lines
             kept = np.repeat(~blank, fields)
             starts, ends, lens = starts[kept], ends[kept], lens[kept]
-        firsts, ends = starts[::d], ends.reshape(-1, d)
+        row_starts, ends = starts[::d], ends.reshape(-1, d)
+        rejected = 0
         if not lens.all():
             empty = (lens.reshape(-1, d) == 0).any(axis=1)
-            empty[:int(has_header and not rows)] = False  # the header row stays
-            rejected += int(empty.sum())
-            firsts, ends = firsts[~empty], ends[~empty]
-        column_starts, column_ends = spans[:, :, rows:rows + len(ends)]
+            empty[:int(has_header and i == 0)] = False  # the header row stays
+            rejected = int(empty.sum())
+            row_starts, ends = row_starts[~empty], ends[~empty]
+        column_starts, column_ends = spans[:, :, firsts[i]:firsts[i] + len(ends)]
         column_ends[...] = ends.T
         # any other field starts one past the comma that ends the field
         # before it, since only a line's last field can end before a CR
-        column_starts[0] = firsts
+        column_starts[0] = row_starts
         np.add(column_ends[:-1], 1, out=column_starts[1:])
-        rows += len(ends)
-        start = end
-    if not has_header:
+        return len(ends), rejected
+
+    try:
+        counts = each(tokenize)
+    except _NotPlain:
+        return None
+    rows = rejected = 0
+    for at, (kept, dropped) in zip(firsts, counts):
+        if at != rows:  # the rows this chunk kept, moved down over the gaps before it
+            spans[:, :, rows:rows + kept] = spans[:, :, at:at + kept]
+        rows += kept
+        rejected += dropped
+    if has_header:
+        names = tuple(data[s:e].decode() for s, e in spans[:, :, 0].T)
+        if len(set(names)) != d:
+            return None  # duplicate names
+    else:
         names = tuple(f"X{j + 1}" for j in range(d))
     first = int(has_header)
     return RawTable(

@@ -815,6 +815,15 @@ class TestEncode:
         with pytest.raises(DataError, match="'a'"):
             EncodedDataset.from_codes(["a"], [[[0, 1], [1, 0]]], 2)
 
+    def test_duplicate_names_are_data_errors(self):
+        # parse_csv refuses them; built directly, the second "a" would be
+        # scored and reported as a member of its own, and index_of("a")
+        # would find only the first
+        with pytest.raises(DataError, match="duplicate column name 'a'"):
+            RawTable(("a", "b", "a"), (("x", "y"), ("1", "2"), ("u", "v")), 2)
+        with pytest.raises(DataError, match="duplicate column name 'b'"):
+            EncodedDataset.from_codes(["a", "b", "b"], [[0, 1], [1, 0], [0, 0]], 2)
+
     def test_from_codes_compacts(self):
         ds = EncodedDataset.from_codes(["v"], [np.array([5, 9, 5, 9])], 4)
         assert ds.attributes[0].codes.tolist() == [0, 1, 0, 1]
