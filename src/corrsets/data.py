@@ -168,7 +168,9 @@ def parse_csv(data: bytes | str, has_header: bool = True) -> RawTable:
     bare CR. Without a header, column names X1..Xd are synthesized.
     Malformed CSV, including a row whose field count differs from the first
     row's, raises a ParseError naming the line. Rows containing empty fields
-    are dropped and counted.
+    are dropped and counted. A plain input of ``_HELPER_CHUNKS`` chunks or
+    more is tokenized on two threads where the process may use two CPUs;
+    the table, and the error raised, are those of one thread.
     """
     table = _parse_plain(data, has_header)
     return _parse_reader(data, has_header) if table is None else table
@@ -743,15 +745,15 @@ def _map_on_two_threads(function, count: int) -> list:
                 return
             try:
                 results[i] = function(i)
-            except Exception as exc:  # raised in column order once both are done
+            except Exception as exc:  # raised in index order once both are done
                 errors[i] = exc
                 stop()
 
-    helper = threading.Thread(target=drain, name="corrsets-encode")
+    helper = threading.Thread(target=drain, name="corrsets-helper")
     helper.start()
     try:
         drain()
-    except BaseException:  # Ctrl-C: the helper ends with the column it holds
+    except BaseException:  # Ctrl-C: the helper ends with the index it holds
         stop()
         raise
     finally:

@@ -891,12 +891,33 @@ def attribute_bits(table, **kwargs):
 
 
 @contextlib.contextmanager
-def two_threads(helper_rows=0):
-    """Encode any table of ``helper_rows`` rows or more on two threads,
-    however many CPUs the process may use."""
-    with mock.patch.object(data_module, "_HELPER_ROWS", helper_rows), \
+def two_threads(gate=0):
+    """Parse any plain input of ``gate`` chunks or more and encode any table
+    of ``gate`` rows or more on two threads, however many CPUs the process
+    may use."""
+    with mock.patch.object(data_module, "_HELPER_ROWS", gate), \
+            mock.patch.object(data_module, "_HELPER_CHUNKS", gate), \
             mock.patch.object(data_module, "_usable_cpus", lambda: 2):
         yield
+
+
+def mapped_functions():
+    """A spy on ``_map_on_two_threads``; ``names(spy)`` lists the functions
+    it was given, in call order."""
+    return mock.patch.object(data_module, "_map_on_two_threads",
+                             wraps=data_module._map_on_two_threads)
+
+
+def names(spy):
+    return [call.args[0].__name__ for call in spy.call_args_list]
+
+
+def spans_of(table):
+    """A plain-parsed table with its span arrays, or None."""
+    if table is None:
+        return None
+    return (table.column_names, table.row_count, table.rejected_rows,
+            [(c.starts.dtype, c.starts.tolist(), c.ends.tolist()) for c in table.columns])
 
 
 class LateHelper(threading.Thread):
@@ -911,6 +932,14 @@ class LateHelper(threading.Thread):
         super().join(timeout)
 
 
+class EagerHelper(threading.Thread):
+    """A helper thread that takes every index before the caller takes one."""
+
+    def start(self):
+        super().start()
+        super().join()
+
+
 class TestTwoThreads:
     @given(
         text=plain_csv_texts(),
@@ -923,13 +952,70 @@ class TestTwoThreads:
         named = [name for name in named if name in table.column_names]
         for numeric_cols in ("auto", "none", named):
             runs = []
-            for helper_rows in (0, 2**62):
-                with two_threads(helper_rows), mock.patch.object(
-                        data_module, "_map_on_two_threads",
-                        wraps=data_module._map_on_two_threads) as mapped:
-                    runs.append(attribute_bits(table, bins=bins, numeric_cols=numeric_cols))
-                assert mapped.called == (helper_rows == 0 and table.row_count >= 2)
+            for gate in (0, 2**62):
+                with two_threads(gate), mapped_functions() as mapped:
+                    parsed_table = parse_csv(text.encode())
+                    runs.append((spans_of(parsed_table), attribute_bits(
+                        parsed_table, bins=bins, numeric_cols=numeric_cols)))
+                # the parse's two passes, then encode's columns, each above its gate only
+                expected = ["line_feeds", "tokenize"] + ["attribute"] * (table.row_count >= 2)
+                assert names(mapped) == (expected if gate == 0 else [])
             assert runs[0] == runs[1]
+
+    @given(
+        text=st.one_of(csv_texts(), plain_csv_texts()),
+        as_bytes=st.booleans(),
+        has_header=st.booleans(),
+        chunk=st.integers(1, 8),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_same_plain_table_on_one_and_two_threads(self, text, as_bytes, has_header, chunk):
+        data = text.encode("utf-8", "surrogatepass") if as_bytes else text
+        tables = []
+        for cpus in (1, 2):
+            with mock.patch.object(data_module, "_CHUNK_BYTES", chunk), \
+                    mock.patch.object(data_module, "_usable_cpus", lambda: cpus):
+                tables.append(data_module._parse_plain(data, has_header))
+        assert spans_of(tables[0]) == spans_of(tables[1])
+        if tables[0] is not None:
+            assert tables[0] == tables[1] == _parse_reader(data, has_header)
+
+    @pytest.mark.parametrize("line, message", [
+        (b"x\xff,1", "input is not UTF-8"),
+        (b"x\r,1", "ragged row at line 3"),
+        (b"x,1,2", "ragged row at line 3"),
+        (b"x" * (csv.field_size_limit() + 1) + b",1", "malformed CSV at line 3"),
+    ])
+    def test_failed_check_on_the_helper_leaves_it_to_csv_reader(self, line, message):
+        # one line a chunk, and the helper takes every chunk
+        data = b"a,b\nu,0\n" + line + b"\ny,2\nz,3\n"
+        with mock.patch.object(data_module, "_usable_cpus", lambda: 1):
+            with pytest.raises(ParseError, match=message) as one_thread:
+                parse_csv(data)
+        with mock.patch.object(data_module, "_CHUNK_BYTES", 1), two_threads(), \
+                mock.patch.object(threading, "Thread", EagerHelper), \
+                mapped_functions() as mapped:
+            assert data_module._parse_plain(data, True) is None
+            assert names(mapped) == ["line_feeds", "tokenize"]
+            with pytest.raises(ParseError) as two:
+                parse_csv(data)
+        assert str(two.value) == str(one_thread.value)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_dropped_lines_leave_no_gaps(self, cpus, eol):
+        # among 60 lines, in chunks of one or two, every fifth is blank and
+        # every fifth holds an empty field
+        lines = ["a,b"] + ["" if r % 5 == 0 else f"x{r}," if r % 5 == 1 else f"x{r},{r}"
+                           for r in range(60)]
+        data = eol.join(lines).encode()
+        with mock.patch.object(data_module, "_CHUNK_BYTES", 8), \
+                mock.patch.object(data_module, "_usable_cpus", lambda: cpus):
+            table = data_module._parse_plain(data, True)
+        kept = [r for r in range(60) if r % 5 > 1]
+        assert table.columns == (tuple(f"x{r}" for r in kept), tuple(map(str, kept)))
+        assert (table.row_count, table.rejected_rows) == (36, 12)
+        assert table == _parse_reader(data, True)
 
     def test_first_failing_column_is_raised(self):
         # every column is named numeric and fails; column 0 waits until the
@@ -976,9 +1062,15 @@ class TestTwoThreads:
         assert threading.active_count() == before
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
-    def test_no_thread_outlives_encode(self, ttt_table):
+    def test_no_thread_outlives_encode(self, ttt_csv, ttt_table):
         before = threading.active_count()
-        with two_threads():
+        data = ttt_csv.read_bytes()
+        with two_threads(), mock.patch.object(data_module, "_CHUNK_BYTES", 1024):
+            assert parse_csv(data) == ttt_table
+            assert threading.active_count() == before
+            with pytest.raises(ParseError, match="ragged row"):
+                parse_csv(data + b"x\n")
+            assert threading.active_count() == before
             assert encode(ttt_table).d == 10
             assert threading.active_count() == before
             with pytest.raises(DataError, match="column 'top-left'"):
@@ -1018,7 +1110,17 @@ class TestTwoThreads:
         assert 1 <= cpus <= (os.cpu_count() or 1)
         expected = attribute_bits(ttt_table)
         with mock.patch.object(data_module, "_HELPER_ROWS", ttt_table.row_count), \
-                mock.patch.object(data_module, "_map_on_two_threads",
-                                  wraps=data_module._map_on_two_threads) as mapped:
+                mapped_functions() as mapped:
             assert attribute_bits(ttt_table) == expected
-        assert mapped.called == (cpus > 1)
+        assert names(mapped) == (["attribute"] if cpus > 1 else [])
+
+    def test_parse_helper_needs_two_cpus(self, ttt_csv):
+        # the same for parse_csv, at its own gate: one line a chunk gives
+        # the file far more chunks than _HELPER_CHUNKS
+        data = ttt_csv.read_bytes()
+        assert data.count(b"\n") > data_module._HELPER_CHUNKS
+        expected = spans_of(data_module._parse_plain(data, True))
+        with mock.patch.object(data_module, "_CHUNK_BYTES", 1), mapped_functions() as mapped:
+            assert spans_of(data_module._parse_plain(data, True)) == expected
+        cpus = data_module._usable_cpus()
+        assert names(mapped) == (["line_feeds", "tokenize"] if cpus > 1 else [])
