@@ -472,9 +472,10 @@ def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
     def line_feeds(i: int) -> int:
         return np.count_nonzero(raw[cuts[i]:cuts[i + 1]] == ord("\n"))
 
-    firsts = np.cumsum([0] + each(line_feeds))  # the last chunk's last line has none
+    firsts = np.cumsum([0] + each(line_feeds))
     first_line = data.find(b"\n", start, stop)  # chunk 0 checks its field count
     d = data.count(b",", start, stop if first_line < 0 else first_line) + 1
+    # (starts or ends, column, row): a row per line feed, and one for the last line
     spans = np.empty((2, d, firsts[-1] + 1), dtype=offset)
 
     def tokenize(i: int) -> tuple[int, int]:

@@ -901,14 +901,14 @@ def two_threads(gate=0):
         yield
 
 
-def mapped_functions():
-    """A spy on ``_map_on_two_threads``; ``names(spy)`` lists the functions
-    it was given, in call order."""
+def map_spy():
+    """A spy on ``_map_on_two_threads``; ``mapped_names(spy)`` lists the
+    functions it was given, in call order."""
     return mock.patch.object(data_module, "_map_on_two_threads",
                              wraps=data_module._map_on_two_threads)
 
 
-def names(spy):
+def mapped_names(spy):
     return [call.args[0].__name__ for call in spy.call_args_list]
 
 
@@ -953,13 +953,13 @@ class TestTwoThreads:
         for numeric_cols in ("auto", "none", named):
             runs = []
             for gate in (0, 2**62):
-                with two_threads(gate), mapped_functions() as mapped:
+                with two_threads(gate), map_spy() as mapped:
                     parsed_table = parse_csv(text.encode())
                     runs.append((spans_of(parsed_table), attribute_bits(
                         parsed_table, bins=bins, numeric_cols=numeric_cols)))
                 # the parse's two passes, then encode's columns, each above its gate only
                 expected = ["line_feeds", "tokenize"] + ["attribute"] * (table.row_count >= 2)
-                assert names(mapped) == (expected if gate == 0 else [])
+                assert mapped_names(mapped) == (expected if gate == 0 else [])
             assert runs[0] == runs[1]
 
     @given(
@@ -994,9 +994,9 @@ class TestTwoThreads:
                 parse_csv(data)
         with mock.patch.object(data_module, "_CHUNK_BYTES", 1), two_threads(), \
                 mock.patch.object(threading, "Thread", EagerHelper), \
-                mapped_functions() as mapped:
+                map_spy() as mapped:
             assert data_module._parse_plain(data, True) is None
-            assert names(mapped) == ["line_feeds", "tokenize"]
+            assert mapped_names(mapped) == ["line_feeds", "tokenize"]
             with pytest.raises(ParseError) as two:
                 parse_csv(data)
         assert str(two.value) == str(one_thread.value)
@@ -1110,9 +1110,9 @@ class TestTwoThreads:
         assert 1 <= cpus <= (os.cpu_count() or 1)
         expected = attribute_bits(ttt_table)
         with mock.patch.object(data_module, "_HELPER_ROWS", ttt_table.row_count), \
-                mapped_functions() as mapped:
+                map_spy() as mapped:
             assert attribute_bits(ttt_table) == expected
-        assert names(mapped) == (["attribute"] if cpus > 1 else [])
+        assert mapped_names(mapped) == (["attribute"] if cpus > 1 else [])
 
     def test_parse_helper_needs_two_cpus(self, ttt_csv):
         # the same for parse_csv, at its own gate: one line a chunk gives
@@ -1120,7 +1120,7 @@ class TestTwoThreads:
         data = ttt_csv.read_bytes()
         assert data.count(b"\n") > data_module._HELPER_CHUNKS
         expected = spans_of(data_module._parse_plain(data, True))
-        with mock.patch.object(data_module, "_CHUNK_BYTES", 1), mapped_functions() as mapped:
+        with mock.patch.object(data_module, "_CHUNK_BYTES", 1), map_spy() as mapped:
             assert spans_of(data_module._parse_plain(data, True)) == expected
         cpus = data_module._usable_cpus()
-        assert names(mapped) == (["line_feeds", "tokenize"] if cpus > 1 else [])
+        assert mapped_names(mapped) == (["line_feeds", "tokenize"] if cpus > 1 else [])
