@@ -264,36 +264,36 @@ class _ByteTokens(Sequence):
         """The tokens at ``rows``, a slice or mask, over the same buffer."""
         return _ByteTokens(self.buf, self.starts[rows], self.ends[rows])
 
-    def _words(self, count: int) -> np.ndarray:
-        """The ``8 * count`` bytes from each token's start, bytes past the
-        token included, gathered at once as a row of ``count`` unaligned
-        little-endian ``uint64`` words per token. A window that would run
-        past the buffer's end reads a zero-padded copy of its last bytes."""
+    def _tails(self, count: int) -> np.ndarray:
+        """The ``8 * count`` bytes that end at each token's end, bytes before
+        the token included, gathered at once as ``count`` rows of
+        little-endian ``uint64`` words, the earliest first. A window that
+        would start before the buffer reads a zero-padded copy of its first
+        bytes."""
         size = 8 * count
-        cut = max(len(self.buf) - size, 0)  # a window from past here runs off the end
-        tail = np.zeros(len(self.buf) - cut + size, np.uint8)
-        tail[:len(self.buf) - cut] = self.buf[cut:]
+        head = np.zeros(2 * size, np.uint8)
+        head[size:size + min(len(self.buf), size)] = self.buf[:size]
+        starts = self.ends - size
         # indexed, not take(), which would copy every window first
-        words = _windows(self.buf if cut else tail, size)[np.minimum(self.starts, cut)]
-        late = np.flatnonzero(self.starts > cut)
-        words[late] = _windows(tail, size)[self.starts[late] - cut]
-        return words.view("<u8").reshape(len(self), count)
+        words = _windows(self.buf if len(self.buf) >= size else head, size)[np.maximum(starts, 0)]
+        early = np.flatnonzero(starts < 0)
+        words[early] = _windows(head, size)[starts[early] + size]
+        return np.ascontiguousarray(words.view("<u8").reshape(len(self), count).T)
 
     def keys(self) -> np.ndarray:
         """An integer per token, equal exactly where the tokens are. A
-        token's first 8 bytes, then 0xFF bytes, which UTF-8 never holds (so
-        "a" and "a\\0" differ), make a ``uint64``. While tokens past 8 bytes
-        share a rank, they are ranked by it and their next 8 bytes."""
+        token's last 8 bytes, after 0xFF bytes, which UTF-8 never holds (so
+        "a" and "\\0a" differ), make a ``uint64``. While tokens past 8 bytes
+        share a rank, they are ranked by it and the 8 bytes before."""
         lens = self.ends - self.starts
-        wide = lens.max(initial=0) > 8
-        keys = self._words(1)[:, 0] | _PAST_BYTES[np.minimum(lens, 8) if wide else lens]
-        if not wide:
+        keys = self._tails(1)[0] | _LOW_BYTES.take(8 - lens, mode="clip")
+        if lens.max(initial=0) <= 8:
             return keys
         keys = np.unique(keys, return_inverse=True)[1]
         rows, at = np.flatnonzero(lens > 8), 8
         while len(rows):  # each byte read once, and none past a unique rank
-            starts = self.starts[rows] + at
-            word = _ByteTokens(self.buf, starts, starts + np.minimum(lens[rows] - at, 8)).keys()
+            ends = self.ends[rows] - at
+            word = _ByteTokens(self.buf, ends - np.minimum(lens[rows] - at, 8), ends).keys()
             rank = keys[rows]
             order = np.argsort(word)  # equal pairs next to each other, faster than lexsort
             order = order[np.argsort(rank[order], kind="stable")]
@@ -310,13 +310,20 @@ class _ByteTokens(Sequence):
 
         A token is read when it is at most 16 bytes of ``[+-]?digits``, with
         at most one ``.`` anywhere after the sign and at least one digit,
-        and its M digits form an integer below 2**53. Its value is M / 10**f
-        for its f digits after the dot, negated for a ``-``: one correctly
+        and its M digits form an integer below 2**53. Its value is M / 10**p
+        for its p digits after the dot, negated for a ``-``: one correctly
         rounded division of two exact doubles, so it is the correctly
-        rounded decimal that ``float()`` returns (Clinger's fast path). The
-        first 16 bytes are gathered at once and read as two words of 8
-        digits (Lemire's SWAR parse), ``_DECIMAL_TOKENS`` tokens at a time
-        to bound the temporaries. A masked token's value is arbitrary.
+        rounded decimal that ``float()`` returns (Clinger's fast path).
+
+        The 16 bytes that end at each token's end are gathered at once as
+        two words; the bytes before the token, and its sign, are masked to
+        leading zeros. One pass flags each byte that is not a digit; a token
+        is read where the one flagged, if any, is the dot, read as a 0. The
+        flags also give the dot's place, so the 16 digits (Lemire's SWAR
+        parse) spell W = A * 10**(p + 1) + B for the A before the dot and
+        the B after it, and one division gives M = W - 9 * 10**p * (W //
+        10**(p + 1)). Tokens are read ``_DECIMAL_TOKENS`` at a time to bound
+        the temporaries. A masked token's value is arbitrary.
         """
         values = np.empty(len(self))
         slow = np.empty(len(self), dtype=bool)
@@ -329,61 +336,56 @@ class _ByteTokens(Sequence):
         """``decimals()`` of all the tokens at once."""
         lens = self.ends - self.starts
         short = np.minimum(lens, 16)
-        head = np.minimum(short, 8)
-        # each byte minus '0': digits become 0-9 and bytes past the token 0
-        words = self._words(2)
+        # an empty buffer holds only empty tokens, which are never read
+        first = self.buf.take(self.starts, mode="clip") if len(self.buf) else 0
+        negative = first == ord("-")
+        signed = negative | (first == ord("+"))
+        lead = 16 - short + signed  # the window's bytes before the digits
+        # each byte minus '0': digits become 0-9, and the lead bytes 0
+        words = self._tails(2)
         words ^= _ASCII_ZEROS
-        lo, hi = words.T
-        lo &= _LOW_BYTES[head]
-        hi &= _LOW_BYTES[short - head]
-        first = lo & _U64(0xFF)
-        negative = first == _U64(ord("-") ^ 0x30)
-        signed = negative | (first == _U64(ord("+") ^ 0x30))
-        first *= signed
-        lo -= first  # the sign reads as a leading 0
-        # the first dot, as bit 0 of its byte k, then as k + 1, or 0
-        lo_at, hi_at = _first_dot(lo), _first_dot(hi)
-        hi_at *= lo_at == 0  # a second dot stays and fails
-        lo ^= lo_at * _DOT  # the dot reads as a 0 too
-        hi ^= hi_at * _DOT
-        lo_at, hi_at = ((word * _BYTE_PLACES >> _U64(56)).view(np.int64)
-                        for word in (lo_at, hi_at))
-        at = np.where(lo_at > 0, lo_at - 1, np.where(hi_at > 0, hi_at + 7, short))
-        dotted = at < short
-        digits = (lo + _OVER_9) | lo | (hi + _OVER_9) | hi
-        digits &= _HIGH_BITS
-        # the 16 digits, the token's followed by zeros; split at the dot
-        whole = _eight_digits(lo)
-        whole *= _U64(10**8)
-        whole += _eight_digits(hi)
-        scale = _POW10[16 - at]
-        mantissa = whole // scale
-        whole -= mantissa * scale
-        whole //= _POW10[16 - short]
-        places = np.where(dotted, short - at - 1, 0)
-        mantissa *= _POW10[places]
-        mantissa += whole
-        read = ((digits == 0) & (lens <= 16) & (short - signed - dotted > 0)
-                & (mantissa < _U64(2**53)))
+        words[0] &= _PAST_BYTES.take(lead, mode="clip")
+        words[1] &= _PAST_BYTES.take(lead - 8, mode="clip")
+        flags = words + _OVER_9
+        flags |= words
+        flags &= _HIGH_BITS
+        flags >>= _U64(7)  # bit 0 of each byte above 9
+        words ^= flags * _DOT  # a dot reads as 0, any other flagged byte as more
+        other = flags * _U64(0xFF) & words
+        count = (flags[0] + flags[1]) * _ONES >> _U64(56)
+        # 1 + the digits after the dot, or 0; any value where more bytes are flagged
+        place = (flags[0] * _DOT_PLACES[0] + flags[1] * _DOT_PLACES[1] >> _U64(56)).view(np.int64)
+        halves = _eight_digits(words)
+        mantissa = halves[0] * _U64(10**8)
+        mantissa += halves[1]  # W = A * 10**(p + 1) + B, with the dot read as 0
+        mantissa -= mantissa // _TENS.take(place, mode="clip") * _NINES.take(place, mode="clip")
+        read = ((other[0] | other[1] == 0) & (count <= _U64(1)) & (lens <= 16)
+                & (short - signed - (place > 0) > 0) & (mantissa < _U64(2**53)))
         values = mantissa.astype(np.float64)
-        values /= _FLOAT_POW10[places]
+        values /= _PLACES.take(place, mode="clip")
         np.negative(values, out=values, where=negative)
         return values, ~read
 
 
-_DECIMAL_TOKENS = 1 << 14  # at about 110 bytes of temporaries per token, 2 MB
+# decimals() reads this many tokens at a time, at about 100 bytes of
+# temporaries per token (1.7 MB; tracemalloc). Per 100,000-token column of
+# the csv-discover input, in-process on a 2-core x86 host, medians of 40
+# alternated rounds: 6.5, 6.9, 6.6, 6.6, 6.8 and 7.2 ms at 2**12 to 2**17.
+_DECIMAL_TOKENS = 1 << 14
 _U64 = np.uint64
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _PAST_BYTES = ~_LOW_BYTES  # 0xFF in every byte of a word after its first k
-_POW10 = np.array([10**k for k in range(17)], dtype=np.uint64)
-_FLOAT_POW10 = np.array([10.0**k for k in range(17)])  # exact doubles up to 10**22
 _ASCII_ZEROS = _U64(0x30 * 0x0101010101010101)
 _DOT = _U64(ord(".") ^ 0x30)
 _OVER_9 = _U64(0x76 * 0x0101010101010101)  # carries a byte above 9 into its high bit
 _HIGH_BITS = _U64(0x8080808080808080)
 _ONES = _U64(0x0101010101010101)
-_DOTS = _DOT * _ONES
-_BYTE_PLACES = _U64(0x0102030405060708)  # byte j holds 8 - j
+# byte j of the window, flagged, adds 16 - j to the top byte: 1 + the digits after it
+_DOT_PLACES = np.array([0x100F0E0D0C0B0A09, 0x0807060504030201], dtype=np.uint64)
+# by that place P: 10**P, or for no dot (P = 0) 10**17, above any 16 digits
+_TENS = np.array([10**17] + [10**k for k in range(1, 17)], dtype=np.uint64)
+_NINES = _TENS // _U64(10) * _U64(9)  # 9 * 10**p for p = P - 1 digits after the dot
+_PLACES = np.array([1.0] + [10.0**k for k in range(16)])  # 10**p, exact doubles
 
 
 def _windows(buf: np.ndarray, size: int) -> np.ndarray:
@@ -391,24 +393,18 @@ def _windows(buf: np.ndarray, size: int) -> np.ndarray:
     return np.ndarray(len(buf) - size + 1, f"V{size}", buf, strides=(1,))
 
 
-def _first_dot(word: np.ndarray) -> np.ndarray:
-    """Bit 0 of the first byte of ``word`` that holds a dot (minus '0'), or
-    0: the zero-byte test, which is exact at the lowest byte it flags."""
-    other = word ^ _DOTS
-    found = other - _ONES
-    found &= ~other
-    found &= _HIGH_BITS
-    found &= ~found + _U64(1)
-    found >>= _U64(7)
-    return found
-
-
-def _eight_digits(word: np.ndarray) -> np.ndarray:
-    """The number that 8 digit bytes spell, the first byte most significant."""
-    word = word * _U64(10) + (word >> _U64(8))
-    return ((word & _U64(0x000000FF000000FF)) * _U64(100 + (1000000 << 32))
-            + ((word >> _U64(16)) & _U64(0x000000FF000000FF)) * _U64(1 + (10000 << 32))
-            ) >> _U64(32)
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """Each word of 8 digit bytes, in place, as the number they spell, the
+    first byte most significant; returns ``words``."""
+    words *= _U64(10 << 8 | 1)
+    words >>= _U64(8)  # byte k: 10 * digit k + digit k + 1
+    words &= _U64(0x00FF00FF00FF00FF)
+    words *= _U64(100 << 16 | 1)
+    words >>= _U64(16)
+    words &= _U64(0x0000FFFF0000FFFF)
+    words *= _U64(10000 << 32 | 1)
+    words >>= _U64(32)
+    return words
 
 
 def _parse_plain(data: bytes | str, has_header: bool) -> RawTable | None:
@@ -650,8 +646,10 @@ def discretize_equal_frequency(values, bins: int):
 
 
 # A byte column is read from its bytes when at least half of this many
-# leading tokens are plain decimals. Reading costs about a third of what
-# float() does and is wasted on a column of exponents or 17-digit reprs.
+# leading tokens are plain decimals. Reading costs about a quarter of what
+# decoding and float() do (6.6 against 24.4 ms per 100,000-token column,
+# timed as at _DECIMAL_TOKENS) and is wasted on a column of exponents or
+# 17-digit reprs.
 _PROBE_TOKENS = 64
 
 

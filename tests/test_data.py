@@ -618,9 +618,9 @@ class TestEncode:
     @pytest.mark.parametrize("alphabet", ["1234567890", "abcdefghij"])
     @pytest.mark.parametrize("width", range(1, 18))
     def test_windows_past_an_unpadded_end(self, width, alphabet):
-        # keys() reads 8 bytes from each token's start and decimals() 16;
-        # near the end of a buffer with nothing after it, both read a padded
-        # copy, and a token there codes and reads as it does further in
+        # keys() reads the 8 bytes that end at each token's end and
+        # decimals() the 16; a token that ends a buffer with nothing after
+        # it, or starts it, codes and reads as it does further in
         tok = (alphabet * 2)[:width]
         tokens = [tok, tok[:-1] + chr(ord(tok[-1]) ^ 1), tok]
         data = ("c\n" + "\n".join(tokens)).encode()  # no line feed at the end
@@ -653,6 +653,29 @@ class TestEncode:
         values[slow] = [float(tokens[i]) for i in edges]
         reference = np.array([float(t) for t in tokens])
         assert values.view(np.int64).tolist() == reference.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_decimal_window_edges(self, width):
+        # every sign, every dot place and none, at every width from 1 to 17
+        # bytes, with a mantissa below 2**53 and one above it; each token is
+        # read at the start of a buffer, where decimals() reads a zero-padded
+        # copy of the bytes before it, and deep inside a parsed column
+        tokens = []
+        for sign in ("", "+", "-"):
+            body = width - len(sign)
+            for digits in ("12345678901234567", "98765432109876543"):
+                tokens += [sign + digits[:body]] + [
+                    sign + digits[:dot] + "." + digits[dot:body - 1] for dot in range(body)]
+        columns = [(_ByteTokens.of([tok], "c"), [tok]) for tok in tokens]
+        columns += [(parse_csv(tok, has_header=False).columns[0], [tok]) for tok in tokens]
+        deep = "c\n" + "\n".join(["x" * 20] * 3 + tokens)
+        columns.append((parse_csv(deep).columns[0].take(slice(3, None)), tokens))
+        for column, expected in columns:
+            assert list(column) == expected
+            values, slow = column.decimals()
+            assert slow.tolist() == [not byte_decimal(t) for t in expected]
+            read = np.array([float(t) for t in expected if byte_decimal(t)])
+            assert values[~slow].view(np.int64).tolist() == read.view(np.int64).tolist()
 
     @given(st.lists(st.lists(st.sampled_from(["abcdefgh", "abcdefg", "a", "\u00e9", "\0"]),
                              max_size=6).map("".join), min_size=2, max_size=40))

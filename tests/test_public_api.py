@@ -1,13 +1,15 @@
 """The public names of corrsets resolve: a name left in an ``__all__`` after
 its definition is removed breaks ``from corrsets.<module> import *``. No
-module imports a name it never uses, and no module takes another's private
-names beyond a fixed list."""
+module imports a name it never uses, no module takes another's private
+names beyond a fixed list, and none uses a numpy name newer than the numpy
+floor in pyproject.toml."""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import corrsets
@@ -75,6 +77,55 @@ def test_no_private_cross_imports():
                   for a in node.names
                   if a.name.startswith("_") and not a.name.startswith("__")}
     assert found == PRIVATE_IMPORTS
+
+
+# numpy names that pyproject's floor, numpy 1.24, lacks, with the release
+# that added them (np.bool was removed in 1.24 and came back in 2.0)
+NUMPY_AFTER_FLOOR = {
+    "exceptions": "1.25", "dtypes": "1.25",
+    "bitwise_count": "2.0", "unique_values": "2.0", "unique_counts": "2.0",
+    "unique_inverse": "2.0", "unique_all": "2.0", "astype": "2.0", "concat": "2.0",
+    "isdtype": "2.0", "strings": "2.0", "permute_dims": "2.0", "matrix_transpose": "2.0",
+    "vecdot": "2.0", "trapezoid": "2.0", "bool": "2.0", "long": "2.0", "ulong": "2.0",
+    "pow": "2.0", "acos": "2.0", "acosh": "2.0", "asin": "2.0", "asinh": "2.0",
+    "atan": "2.0", "atanh": "2.0", "atan2": "2.0", "bitwise_left_shift": "2.0",
+    "bitwise_right_shift": "2.0", "bitwise_invert": "2.0",
+    "cumulative_sum": "2.1", "cumulative_prod": "2.1", "unstack": "2.1",
+    "matvec": "2.2", "vecmat": "2.2",
+}
+
+
+def numpy_names_after_floor(source: str) -> set[str]:
+    """The names of ``NUMPY_AFTER_FLOOR`` that ``source`` imports from numpy
+    or reads as an attribute of a name it binds to numpy."""
+    tree = ast.parse(source)
+    aliases, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "numpy"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found |= {a.name for a in node.names}
+    found |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    return found & set(NUMPY_AFTER_FLOOR)
+
+
+def test_numpy_names_list_and_scan():
+    # each listed name exists from its release on, and the scan finds it
+    installed = tuple(map(int, np.__version__.split(".")[:2]))
+    for name, release in NUMPY_AFTER_FLOOR.items():
+        if installed >= tuple(map(int, release.split("."))):
+            assert hasattr(np, name), name
+    assert numpy_names_after_floor(
+        "import numpy as np\nfrom numpy import concat\nnp.bitwise_count(x).astype(int)\n"
+    ) == {"concat", "bitwise_count"}
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_no_numpy_names_after_floor(name):
+    # CI's numpy-floor job may fail without failing the run, so this is the
+    # tier-1 guard against a call that needs a numpy newer than 1.24
+    assert numpy_names_after_floor((SRC / name).read_text("utf-8")) == set()
 
 
 def test_readme_example_runs(tmp_path, monkeypatch, capsys):
